@@ -53,6 +53,7 @@
 #include "support/Ids.h"
 #include "support/SourceLoc.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -120,6 +121,31 @@ enum class BcOp : uint8_t {
   RetNonLocal, ///< Control{Return, CurrentHome, D} with value R[A].
 };
 
+/// Every BcOp, in declaration order: the one list the interpreter's jump
+/// table, its portable switch and bcOpName expand (X-macro), checked
+/// against the enum below.
+#define SELSPEC_BC_OPS(X)                                                      \
+  X(LoadInt) X(LoadBool) X(LoadStr) X(LoadNil) X(LoadVarSlot) X(LoadVarCell)   \
+  X(LoadVarCapture) X(Charge) X(Move) X(LoadNilRaw) X(StoreSlot)               \
+  X(StoreCell) X(StoreCapture) X(LetCell) X(Jump) X(CondBranch) X(StackCheck)  \
+  X(CallDyn) X(CallStatic) X(CallSelect) X(CallPrim) X(CallPred)               \
+  X(CallFeedback) X(CallClosure) X(MakeClosure) X(NewObj) X(InitSlot)          \
+  X(GetSlot) X(SetSlot) X(RetLocal) X(RetNonLocal)
+
+namespace detail {
+#define SELSPEC_BC_OP_ENTRY(Name) BcOp::Name,
+constexpr BcOp BcOpList[] = {SELSPEC_BC_OPS(SELSPEC_BC_OP_ENTRY)};
+#undef SELSPEC_BC_OP_ENTRY
+constexpr bool bcOpListInOrder() {
+  for (size_t I = 0; I != sizeof(BcOpList) / sizeof(BcOpList[0]); ++I)
+    if (static_cast<size_t>(BcOpList[I]) != I)
+      return false;
+  return sizeof(BcOpList) / sizeof(BcOpList[0]) ==
+         static_cast<size_t>(BcOp::RetNonLocal) + 1;
+}
+static_assert(bcOpListInOrder(), "SELSPEC_BC_OPS out of step with BcOp");
+} // namespace detail
+
 /// Readable opcode name ("LoadInt", "CallDyn", ...).
 const char *bcOpName(BcOp Op);
 
@@ -158,8 +184,7 @@ struct BcSite {
   const SendExpr *S = nullptr;
   /// InlinePrim/Predicted target primitive, resolved at compile time.
   PrimOp Prim = PrimOp::None;
-  /// FeedbackGuard: whether the predicted target is a builtin, and its op.
-  bool TargetIsBuiltin = false;
+  /// FeedbackGuard: the predicted target's primitive (None: a method).
   PrimOp TargetPrim = PrimOp::None;
   /// Module-dense index of this site's per-thread inline cache
   /// (< BcModule::NumIcSlots).
@@ -213,9 +238,6 @@ struct BcFunction {
   uint32_t NumTemps = 0;
   /// First temp register (== the source layout's NumSlots).
   uint32_t FirstTemp = 0;
-  /// Methods catch boundary-0 returns of their own activation; closure
-  /// bodies never do.
-  bool IsMethod = false;
   /// Source method (methods only; for backtraces and Invoked bits).
   MethodId Source;
   const CompiledMethod *Method = nullptr;

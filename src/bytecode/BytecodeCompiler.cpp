@@ -133,7 +133,6 @@ BcFunction *ModuleBuilder::compileMethod(const CompiledMethod &CM) {
   }
   Mod.Functions.push_back(std::make_unique<BcFunction>());
   BcFunction *Fn = Mod.Functions.back().get();
-  Fn->IsMethod = true;
   Fn->Source = CM.Source;
   Fn->Method = &CM;
   Fn->Name = P.methodLabel(CM.Source) + " #" + std::to_string(CM.Index);
@@ -157,7 +156,6 @@ BcFunction *ModuleBuilder::getOrCompileClosure(const ClosureLitExpr *Lit) {
   }
   Mod.Functions.push_back(std::make_unique<BcFunction>());
   BcFunction *Fn = Mod.Functions.back().get();
-  Fn->IsMethod = false;
   Fn->Lit = Lit;
   Fn->Name = "closure @" + std::to_string(Lit->getLoc().Line) + ":" +
              std::to_string(Lit->getLoc().Col);
@@ -363,13 +361,10 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
       Op = BcOp::CallPred;
       Site.Prim = P.method(Sd->Binding.Target).Prim;
       break;
-    case SendBindKind::FeedbackGuard: {
+    case SendBindKind::FeedbackGuard:
       Op = BcOp::CallFeedback;
-      const MethodInfo &M = P.method(Sd->Binding.Target);
-      Site.TargetIsBuiltin = M.isBuiltin();
-      Site.TargetPrim = M.Prim;
+      Site.TargetPrim = P.method(Sd->Binding.Target).Prim;
       break;
-    }
     }
     Site.IcSlot = Mod.NumIcSlots++;
     S.Fn->Sites.push_back(Site);

@@ -4,73 +4,34 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Execution engine for BcModules.  Every semantic decision here is a
-// transcription of the AST Interpreter's (src/interp/Interpreter.cpp):
-// check order, trap messages, cost charges and counter bumps match line
-// for line, because the differential tests require RunStats to be
-// bit-identical between the tiers.  When editing either interpreter,
-// update the other.
+// Execution engine for BcModules: the dispatch loop and the inline
+// caches, nothing else.  Every semantic decision a call, primitive,
+// allocation or trap involves is made by ExecCore (src/interp/ExecCore.h),
+// the same code the AST Interpreter runs, so the tiers cannot drift
+// apart there.  What this file must keep in step with the AST walker by
+// hand is only the node accounting of the loop itself: which
+// instructions charge, with which Expr kind, in which order (the
+// differential tests require bit-identical RunStats).
 //
-// The only genuinely new machinery is the per-site inline cache: before
-// falling back to the Dispatcher's PIC/memo lookup, a call instruction
-// probes the BcIcEntry slots baked into its BcSite.  A hit must return
-// exactly what the dispatcher would have (the program is immutable during
-// a run), so the substitution is invisible to RunStats; SELSPEC_IC_AUDIT=1
-// re-verifies every hit against ground-truth dispatch and counts
+// The per-site inline cache: before falling back to the Dispatcher's
+// PIC/memo lookup, a call instruction probes the per-thread BcIcEntry
+// ways of its BcSite.  A hit must return exactly what the dispatcher
+// would have (the program is immutable during a run), so the
+// substitution is invisible to RunStats; SELSPEC_IC_AUDIT=1 re-verifies
+// every hit against ground-truth dispatch and counts
 // `bytecode.ic_misdispatch`.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/BytecodeInterpreter.h"
 
-#include "support/FailPoint.h"
 #include "support/Metrics.h"
 
 #include <cstdlib>
-#include <ostream>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 using namespace selspec;
 
 namespace {
-/// Same policy as the AST tier (Interpreter.cpp): three quarters of the
-/// soft stack rlimit, capped at 6 MiB.
-size_t nativeStackBudget() {
-  size_t Budget = size_t(6) << 20;
-#if defined(__unix__) || defined(__APPLE__)
-  struct rlimit RL;
-  if (getrlimit(RLIMIT_STACK, &RL) == 0 && RL.rlim_cur != RLIM_INFINITY) {
-    size_t ThreeQuarters = static_cast<size_t>(RL.rlim_cur) / 4 * 3;
-    if (ThreeQuarters < Budget)
-      Budget = ThreeQuarters;
-  }
-#endif
-  return Budget;
-}
-
-// Same counter names as the AST tier: the registry sums duplicates, so
-// `interp.*` reports the union of work done by both tiers.
-metrics::Counter CtrDynamicDispatches("interp.dynamic_dispatches");
-metrics::Counter CtrVersionSelects("interp.version_selects");
-metrics::Counter CtrStaticCalls("interp.static_calls");
-metrics::Counter CtrInlinePrims("interp.inline_prims");
-metrics::Counter CtrPredictedHits("interp.predicted_hits");
-metrics::Counter CtrPredictedMisses("interp.predicted_misses");
-metrics::Counter CtrFeedbackHits("interp.feedback_hits");
-metrics::Counter CtrFeedbackMisses("interp.feedback_misses");
-metrics::Counter CtrClosuresCreated("interp.closures_created");
-metrics::Counter CtrClosureCalls("interp.closure_calls");
-metrics::Counter CtrAllocations("interp.allocations");
-metrics::Counter CtrMethodInvocations("interp.method_invocations");
-metrics::Counter CtrNodesEvaluated("interp.nodes_evaluated");
-metrics::Counter CtrCycles("interp.cycles");
-metrics::Counter CtrBytesAllocated("interp.bytes_allocated");
-metrics::Counter CtrDeadlineExpired("deadline.expired");
-
 metrics::Counter CtrIcHits("bytecode.ic_hits");
 metrics::Counter CtrIcMisses("bytecode.ic_misses");
 metrics::Counter CtrIcMisdispatch("bytecode.ic_misdispatch");
@@ -79,186 +40,17 @@ metrics::Counter CtrIcMisdispatch("bytecode.ic_misdispatch");
 BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
                                          const BcModule &Mod, RunOptions Opts,
                                          CostModel Costs)
-    : CP(CP), P(CP.program()), Mod(Mod), Opts(Opts), Costs(Costs),
-      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
-      IcTable(Mod.NumIcSlots), SlotCaches(Mod.NumSlotCacheSlots),
-      StackBudget(nativeStackBudget()) {
+    : ExecProtocol(CP, Opts, Costs), Mod(Mod), IcTable(Mod.NumIcSlots),
+      SlotCaches(Mod.NumSlotCacheSlots) {
   assert(Mod.Ok && "executing a module that failed to compile");
   const char *Audit = std::getenv("SELSPEC_IC_AUDIT");
   IcAudit = Audit && Audit[0] && !(Audit[0] == '0' && Audit[1] == '\0');
 }
 
 BytecodeInterpreter::~BytecodeInterpreter() {
-  CtrDynamicDispatches.add(Stats.DynamicDispatches);
-  CtrVersionSelects.add(Stats.VersionSelects);
-  CtrStaticCalls.add(Stats.StaticCalls);
-  CtrInlinePrims.add(Stats.InlinePrims);
-  CtrPredictedHits.add(Stats.PredictedHits);
-  CtrPredictedMisses.add(Stats.PredictedMisses);
-  CtrFeedbackHits.add(Stats.FeedbackHits);
-  CtrFeedbackMisses.add(Stats.FeedbackMisses);
-  CtrClosuresCreated.add(Stats.ClosuresCreated);
-  CtrClosureCalls.add(Stats.ClosureCalls);
-  CtrAllocations.add(Stats.Allocations);
-  CtrMethodInvocations.add(Stats.MethodInvocations);
-  CtrNodesEvaluated.add(Stats.NodesEvaluated);
-  CtrCycles.add(Stats.Cycles);
-  CtrBytesAllocated.add(TheHeap.bytesAllocated());
   CtrIcHits.add(IcHits);
   CtrIcMisses.add(IcMisses);
   CtrIcMisdispatch.add(IcMisdispatches);
-}
-
-std::string BytecodeInterpreter::valueToString(const Value &V) const {
-  switch (V.kind()) {
-  case Value::Kind::Nil:
-    return "nil";
-  case Value::Kind::Int:
-    return std::to_string(V.asInt());
-  case Value::Kind::Bool:
-    return V.asBool() ? "true" : "false";
-  case Value::Kind::Object: {
-    const Obj *O = V.asObject();
-    switch (O->payload()) {
-    case Obj::Payload::Str:
-      return O->Str;
-    case Obj::Payload::Array: {
-      std::ostringstream OS;
-      OS << '[';
-      for (size_t I = 0; I != O->Slots.size(); ++I) {
-        if (I)
-          OS << ", ";
-        OS << valueToString(O->Slots[I]);
-      }
-      OS << ']';
-      return OS.str();
-    }
-    case Obj::Payload::Closure:
-      return "<closure>";
-    case Obj::Payload::Instance:
-      return "<" + P.Syms.name(P.Classes.info(O->getClass()).Name) + ">";
-    }
-  }
-  }
-  return "?";
-}
-
-Value BytecodeInterpreter::fail(Control &C, TrapKind Kind, SourceLoc Loc,
-                                std::string Message) {
-  // First failure wins; anything signaled while already unwinding an
-  // error is dropped.
-  if (C.K != Control::Kind::Error) {
-    C.K = Control::Kind::Error;
-    Trap.reset();
-    Trap.Kind = Kind;
-    Trap.Loc = Loc;
-    Trap.Message = std::move(Message);
-    for (auto It = CallStack.rbegin(); It != CallStack.rend(); ++It) {
-      if (Trap.Backtrace.size() == RuntimeTrap::MaxBacktraceFrames) {
-        Trap.FramesElided =
-            CallStack.size() - RuntimeTrap::MaxBacktraceFrames;
-        break;
-      }
-      Trap.Backtrace.push_back(P.methodLabel(*It));
-    }
-    Error = Trap.render();
-  }
-  return Value::nil();
-}
-
-void BytecodeInterpreter::failTop(TrapKind Kind, std::string Message) {
-  Trap.reset();
-  Trap.Kind = Kind;
-  Trap.Message = std::move(Message);
-  Error = Trap.render();
-}
-
-Value BytecodeInterpreter::failPrimType(Control &C, PrimOp Op, SourceLoc Loc,
-                                        const char *Expected) {
-  return fail(C, TrapKind::TypeError, Loc,
-              std::string("primitive '") + primOpName(Op) + "' expects " +
-                  Expected);
-}
-
-Value BytecodeInterpreter::failBounds(Control &C, SourceLoc Loc,
-                                      int64_t Index, size_t Size) {
-  return fail(C, TrapKind::IndexOutOfBounds, Loc,
-              "array index " + std::to_string(Index) +
-                  " out of bounds (size " + std::to_string(Size) + ")");
-}
-
-Value BytecodeInterpreter::failNoSlot(Control &C, SourceLoc Loc, ClassId Cls,
-                                      Symbol SlotName) {
-  return fail(C, TrapKind::UndefinedSlot, Loc,
-              "class '" + P.Syms.name(P.Classes.info(Cls).Name) +
-                  "' has no slot '" + P.Syms.name(SlotName) + "'");
-}
-
-Value BytecodeInterpreter::failDispatch(Control &C, const SendExpr *S) {
-  // Re-dispatch (cold) to tell "no applicable method" from "ambiguous".
-  bool Ambiguous = false;
-  P.dispatch(S->Generic, ClassScratch, &Ambiguous);
-  if (Ambiguous)
-    return fail(C, TrapKind::AmbiguousDispatch, S->getLoc(),
-                "message '" + P.genericLabel(S->Generic) +
-                    "' is ambiguous for the given argument classes");
-  return fail(C, TrapKind::NoApplicableMethod, S->getLoc(),
-              "message '" + P.genericLabel(S->Generic) + "' not understood");
-}
-
-Value BytecodeInterpreter::failNodeBudget(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::NodeBudgetExceeded, Loc,
-              "execution exceeded the node budget of " +
-                  std::to_string(Opts.Limits.MaxNodes) +
-                  " nodes (infinite loop?)");
-}
-
-Value BytecodeInterpreter::failDepth(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "call depth exceeded the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value BytecodeInterpreter::failNativeStack(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "recursion exhausted the native stack headroom (" +
-                  std::to_string(StackBudget) +
-                  " bytes) before reaching the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value BytecodeInterpreter::failHeapLimit(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::HeapLimitExceeded, Loc,
-              "allocation exceeded the heap limit of " +
-                  std::to_string(Opts.Limits.MaxObjects) + " objects");
-}
-
-Value BytecodeInterpreter::failMemoryBudget(Control &C, SourceLoc Loc,
-                                            uint64_t Requested) {
-  return fail(C, TrapKind::MemoryBudgetExceeded, Loc,
-              "allocation of " + std::to_string(Requested) +
-                  " modeled bytes exceeded the memory budget of " +
-                  std::to_string(Opts.Limits.MaxBytes) + " bytes (" +
-                  std::to_string(TheHeap.bytesAllocated()) +
-                  " already allocated)");
-}
-
-Value BytecodeInterpreter::failDeadline(Control &C, SourceLoc Loc) {
-  CtrDeadlineExpired.add();
-  return fail(C, TrapKind::DeadlineExceeded, Loc,
-              Opts.Cancel ? Opts.Cancel->reason() : "execution cancelled");
-}
-
-Value BytecodeInterpreter::failInjected(Control &C, SourceLoc Loc,
-                                        const char *Name) {
-  return fail(C, TrapKind::InternalError, Loc,
-              failpoint::failureMessage(Name));
-}
-
-void BytecodeInterpreter::recordArc(CallSiteId Site, MethodId Callee) {
-  if (!Opts.Profile || !Site.isValid())
-    return;
-  Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,253 +120,26 @@ void BytecodeInterpreter::icInsert(const BcSite &Site, MethodId Target,
   E->Version = Version;
 }
 
-//===----------------------------------------------------------------------===//
-// Call helpers (one per send-binding kind, mirroring evalSend)
-//===----------------------------------------------------------------------===//
-
-Value BytecodeInterpreter::callDyn(const BcSite &Site, Value *Args, size_t N,
-                                   Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-
-  MethodId Target;
-  int Version = -1;
-  if (!icFind(Site, Target, Version)) {
-    Target = Disp.lookup(S->Generic, ClassScratch, S->Site);
-    if (!Target.isValid())
-      return failDispatch(C, S);
-    Version = CP.selectVersion(Target, ClassScratch);
-    icInsert(Site, Target, Version);
-  }
-
-  recordArc(S->Site, Target);
-  ++Stats.DynamicDispatches;
-  Stats.Cycles += Costs.DynamicDispatchCost;
-  return bcInvokeMethod(Target, Version, Args, N, S->getLoc(), C);
+bool BytecodeInterpreter::lookupTarget(const BcSite &Site, MethodId &Target,
+                                       int &Version) {
+  if (icFind(Site, Target, Version))
+    return true;
+  Target = Disp.lookup(Site.S->Generic, ClassScratch, Site.S->Site);
+  if (!Target.isValid())
+    return false;
+  Version = CP.selectVersion(Target, ClassScratch);
+  icInsert(Site, Target, Version);
+  return true;
 }
 
-Value BytecodeInterpreter::callStatic(const BcSite &Site, Value *Args, size_t N,
-                                      Control &C) {
-  const SendExpr *S = Site.S;
-  const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
-  if (Opts.ValidateBindings) {
-    std::vector<ClassId> Classes;
-    for (size_t I = 0; I != N; ++I)
-      Classes.push_back(Args[I].classOf());
-    MethodId Real = P.dispatch(S->Generic, Classes);
-    if (Real != CM.Source)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static binding violation at site " +
-                      std::to_string(S->Site.value()) + ": bound to " +
-                      P.methodLabel(CM.Source) + " but dispatch picks " +
-                      (Real.isValid() ? P.methodLabel(Real) : "<none>"));
-    if (!tupleContains(CM.Tuple, Classes))
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static version binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
-  recordArc(S->Site, CM.Source);
-  ++Stats.StaticCalls;
-  Stats.Cycles += Costs.StaticCallCost;
-  return bcInvokeVersion(CM, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callSelect(const BcSite &Site, Value *Args, size_t N,
-                                      Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-  if (Opts.ValidateBindings) {
-    MethodId Real = P.dispatch(S->Generic, ClassScratch);
-    if (Real != S->Binding.Target)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static-select binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
-  recordArc(S->Site, S->Binding.Target);
-  ++Stats.VersionSelects;
-  Stats.Cycles += Costs.VersionSelectCost;
-
+void BytecodeInterpreter::lookupVersion(const BcSite &Site, MethodId &Target,
+                                        int &Version) {
   // The IC caches the run-time version selection; the target is the
   // statically-bound method (every entry at this site holds it).
-  MethodId Target = S->Binding.Target;
-  int Version = -1;
-  if (!icFind(Site, Target, Version)) {
-    Version = CP.selectVersion(Target, ClassScratch);
-    icInsert(Site, Target, Version);
-  }
-  return bcInvokeMethod(Target, Version, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callPrim(const BcSite &Site, Value *Args, size_t N,
-                                    Control &C) {
-  const SendExpr *S = Site.S;
-  if (Opts.ValidateBindings) {
-    std::vector<ClassId> Classes;
-    for (size_t I = 0; I != N; ++I)
-      Classes.push_back(Args[I].classOf());
-    if (P.dispatch(S->Generic, Classes) != S->Binding.Target)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "inline-prim binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
-  recordArc(S->Site, S->Binding.Target);
-  ++Stats.InlinePrims;
-  Stats.Cycles += Costs.InlinePrimCost;
-  return invokePrim(Site.Prim, Args, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callFeedback(const BcSite &Site, Value *Args, size_t N,
-                                        Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-  // The modeled machine executes an inline-cache class test; here the
-  // test is the baked-in IC probe itself (dispatcher on a miss).
-  Stats.Cycles += Costs.PredictTestCost;
-
-  MethodId Real;
-  int Version = -1;
-  if (!icFind(Site, Real, Version)) {
-    Real = Disp.lookup(S->Generic, ClassScratch, S->Site);
-    if (!Real.isValid())
-      return failDispatch(C, S);
-    Version = CP.selectVersion(Real, ClassScratch);
-    icInsert(Site, Real, Version);
-  }
-
-  recordArc(S->Site, Real);
-  if (Real == S->Binding.Target) {
-    ++Stats.FeedbackHits;
-    if (Site.TargetIsBuiltin) {
-      Stats.Cycles += Costs.InlinePrimCost;
-      return invokePrim(Site.TargetPrim, Args, S->getLoc(), C);
-    }
-    Stats.Cycles += Costs.StaticCallCost;
-    return bcInvokeMethod(Real, Version, Args, N, S->getLoc(), C);
-  }
-  ++Stats.FeedbackMisses;
-  ++Stats.DynamicDispatches;
-  Stats.Cycles += Costs.DynamicDispatchCost;
-  return bcInvokeMethod(Real, Version, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callPred(const BcSite &Site, Value *Args, size_t N,
-                                    Control &C) {
-  const SendExpr *S = Site.S;
-  Stats.Cycles += Costs.PredictTestCost;
-  bool Hit = true;
-  for (size_t I = 0; I != N; ++I)
-    Hit &= Args[I].classOf() == S->Binding.PredictedClass;
-  if (Hit) {
-    recordArc(S->Site, S->Binding.Target);
-    ++Stats.PredictedHits;
-    Stats.Cycles += Costs.InlinePrimCost;
-    return invokePrim(Site.Prim, Args, S->getLoc(), C);
-  }
-  ++Stats.PredictedMisses;
-  return callDyn(Site, Args, N, C);
-}
-
-Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
-                                            size_t N, SourceLoc Loc,
-                                            Control &C) {
-  if (!Callee.isObject() ||
-      Callee.asObject()->payload() != Obj::Payload::Closure)
-    return fail(C, TrapKind::TypeError, Loc, "called value is not a closure");
-  Obj *Closure = Callee.asObject();
-  const ClosureLitExpr *Lit = Closure->Lit;
-  if (Lit->Params.size() != N)
-    return fail(C, TrapKind::ArityMismatch, Loc,
-                "closure called with wrong number of arguments");
-  if (Depth >= Opts.Limits.MaxDepth)
-    return failDepth(C, Loc);
-  if (nativeStackLow())
-    return failNativeStack(C, Loc);
-  if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-    return failInjected(C, Loc, "interp.frame-acquire");
-
-  // Closures made by this tier carry their compiled body; ones handed in
-  // from outside (embedder values) fall back to the module map.
-  BcFunction *Fn = Closure->BcFn;
-  if (!Fn) {
-    auto It = Mod.ByClosure.find(Lit);
-    if (It == Mod.ByClosure.end())
-      return fail(C, TrapKind::InternalError, Loc,
-                  "internal: closure body was not compiled to bytecode");
-    Fn = It->second;
-  }
-
-  ++Stats.ClosureCalls;
-  Stats.Cycles += Costs.ClosureCallCost;
-
-  FrameGuard G(Frames, Fn->Layout, &Closure->Captured);
-  Frame &Inner = G.frame();
-  for (size_t I = 0; I != N; ++I)
-    Inner.bindParam(Fn->Layout.Params[I], Args[I]);
-
-  uint64_t SavedHome = CurrentHome;
-  CurrentHome = Closure->HomeActivation;
-  ++Depth;
-  if (Depth > Stats.PeakDepth)
-    Stats.PeakDepth = Depth;
-  Value Result = execute(*Fn, Inner, /*Activation=*/0, C);
-  --Depth;
-  CurrentHome = SavedHome;
-  return Result;
-}
-
-Value BytecodeInterpreter::bcInvokeMethod(MethodId M, int VersionIndex,
-                                          Value *Args, size_t N,
-                                          SourceLoc CallLoc, Control &C) {
-  if (VersionIndex < 0)
-    return fail(C, TrapKind::InternalError, CallLoc,
-                "internal: no compiled version matches arguments of " +
-                    P.methodLabel(M));
-  return bcInvokeVersion(CP.version(static_cast<uint32_t>(VersionIndex)),
-                         Args, N, CallLoc, C);
-}
-
-Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args,
-                                           size_t N, SourceLoc CallLoc,
-                                           Control &C) {
-  const MethodInfo &M = P.method(CM.Source);
-  CP.markInvoked(CM.Index);
-
-  if (M.isBuiltin())
-    return invokePrim(M.Prim, Args, CallLoc, C);
-
-  if (Depth >= Opts.Limits.MaxDepth)
-    return failDepth(C, CallLoc);
-  if (nativeStackLow())
-    return failNativeStack(C, CallLoc);
-  if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-    return failInjected(C, CallLoc, "interp.frame-acquire");
-
-  BcFunction *Fn = Mod.ByVersion[CM.Index];
-  if (!Fn)
-    return fail(C, TrapKind::InternalError, CallLoc,
-                "internal: method version was not compiled to bytecode");
-
-  ++Stats.MethodInvocations;
-  uint64_t Activation = NextActivation++;
-  // The augmented layout sizes the frame for locals plus temp registers;
-  // Params are the source layout's, so binding is unchanged.
-  FrameGuard G(Frames, Fn->Layout, nullptr);
-  Frame &F = G.frame();
-  assert(Fn->Layout.Params.size() == N && "dispatcher arity mismatch");
-  for (size_t I = 0; I != N; ++I)
-    F.bindParam(Fn->Layout.Params[I], Args[I]);
-
-  uint64_t SavedHome = CurrentHome;
-  CurrentHome = Activation;
-  CallStack.push_back(CM.Source);
-  ++Depth;
-  if (Depth > Stats.PeakDepth)
-    Stats.PeakDepth = Depth;
-  Value Result = execute(*Fn, F, Activation, C);
-  --Depth;
-  CallStack.pop_back();
-  CurrentHome = SavedHome;
-  return Result;
+  if (icFind(Site, Target, Version))
+    return;
+  Version = CP.selectVersion(Target, ClassScratch);
+  icInsert(Site, Target, Version);
 }
 
 //===----------------------------------------------------------------------===//
@@ -582,7 +147,7 @@ Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args
 //===----------------------------------------------------------------------===//
 
 Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
-                                   uint64_t Activation, Control &C) {
+                                   Control &C) {
   const Insn *const Code = Fn.Code.data();
   const SourceLoc *const Locs = Fn.Locs.data();
   // The register file: the frame's slot array.  Registers [0, FirstTemp)
@@ -626,24 +191,13 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
 
 #if defined(__GNUC__) || defined(__clang__)
   // Computed-goto dispatch: one indirect branch per instruction with a
-  // per-opcode target the predictor can learn.  Table order must match
-  // the BcOp declaration exactly.
+  // per-opcode target the predictor can learn.  The table expands
+  // SELSPEC_BC_OPS, which Bytecode.h checks against the BcOp order.
   static const void *const JumpTable[] = {
-      &&L_LoadInt,      &&L_LoadBool,     &&L_LoadStr,
-      &&L_LoadNil,      &&L_LoadVarSlot,  &&L_LoadVarCell,
-      &&L_LoadVarCapture, &&L_Charge,     &&L_Move,
-      &&L_LoadNilRaw,   &&L_StoreSlot,    &&L_StoreCell,
-      &&L_StoreCapture, &&L_LetCell,      &&L_Jump,
-      &&L_CondBranch,   &&L_StackCheck,   &&L_CallDyn,
-      &&L_CallStatic,   &&L_CallSelect,   &&L_CallPrim,
-      &&L_CallPred,     &&L_CallFeedback, &&L_CallClosure,
-      &&L_MakeClosure,  &&L_NewObj,       &&L_InitSlot,
-      &&L_GetSlot,      &&L_SetSlot,      &&L_RetLocal,
-      &&L_RetNonLocal,
+#define BC_OP_LABEL(Name) &&L_##Name,
+      SELSPEC_BC_OPS(BC_OP_LABEL)
+#undef BC_OP_LABEL
   };
-  static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) ==
-                    static_cast<size_t>(BcOp::RetNonLocal) + 1,
-                "jump table out of sync with BcOp");
 #define BC_DISPATCH() goto *JumpTable[static_cast<uint8_t>(Ip->Op)]
   BC_DISPATCH();
 #else
@@ -652,68 +206,11 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
 #define BC_DISPATCH() goto DispatchTop
 DispatchTop:
   switch (Ip->Op) {
-  case BcOp::LoadInt:
-    goto L_LoadInt;
-  case BcOp::LoadBool:
-    goto L_LoadBool;
-  case BcOp::LoadStr:
-    goto L_LoadStr;
-  case BcOp::LoadNil:
-    goto L_LoadNil;
-  case BcOp::LoadVarSlot:
-    goto L_LoadVarSlot;
-  case BcOp::LoadVarCell:
-    goto L_LoadVarCell;
-  case BcOp::LoadVarCapture:
-    goto L_LoadVarCapture;
-  case BcOp::Charge:
-    goto L_Charge;
-  case BcOp::Move:
-    goto L_Move;
-  case BcOp::LoadNilRaw:
-    goto L_LoadNilRaw;
-  case BcOp::StoreSlot:
-    goto L_StoreSlot;
-  case BcOp::StoreCell:
-    goto L_StoreCell;
-  case BcOp::StoreCapture:
-    goto L_StoreCapture;
-  case BcOp::LetCell:
-    goto L_LetCell;
-  case BcOp::Jump:
-    goto L_Jump;
-  case BcOp::CondBranch:
-    goto L_CondBranch;
-  case BcOp::StackCheck:
-    goto L_StackCheck;
-  case BcOp::CallDyn:
-    goto L_CallDyn;
-  case BcOp::CallStatic:
-    goto L_CallStatic;
-  case BcOp::CallSelect:
-    goto L_CallSelect;
-  case BcOp::CallPrim:
-    goto L_CallPrim;
-  case BcOp::CallPred:
-    goto L_CallPred;
-  case BcOp::CallFeedback:
-    goto L_CallFeedback;
-  case BcOp::CallClosure:
-    goto L_CallClosure;
-  case BcOp::MakeClosure:
-    goto L_MakeClosure;
-  case BcOp::NewObj:
-    goto L_NewObj;
-  case BcOp::InitSlot:
-    goto L_InitSlot;
-  case BcOp::GetSlot:
-    goto L_GetSlot;
-  case BcOp::SetSlot:
-    goto L_SetSlot;
-  case BcOp::RetLocal:
-    goto L_RetLocal;
-  case BcOp::RetNonLocal:
-    goto L_RetNonLocal;
+#define BC_OP_CASE(Name)                                                       \
+  case BcOp::Name:                                                             \
+    goto L_##Name;
+    SELSPEC_BC_OPS(BC_OP_CASE)
+#undef BC_OP_CASE
   }
   return Value::nil(); // unreachable: the switch covers every opcode
 #endif
@@ -740,16 +237,10 @@ L_LoadBool: {
 L_LoadStr: {
   const Insn &I = *Ip;
   BC_CHARGE(Expr::Kind::StrLit);
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
+  Obj *S = allocString(*Fn.StrPool[I.D], Locs[Ip - Code], C);
+  if (!S)
     return Value::nil();
-  }
-  if (uint64_t N = membudget::stringBytes(Fn.StrPool[I.D]->size());
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
-    return Value::nil();
-  }
-  R[I.A] = Value::ofObj(TheHeap.newString(*Fn.StrPool[I.D]));
+  R[I.A] = Value::ofObj(S);
   ++Ip;
   BC_DISPATCH();
 }
@@ -879,37 +370,42 @@ L_StackCheck: {
 
 L_CallDyn: {
   const Insn &I = *Ip;
-  CallVal = callDyn(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendDynamic(Site, Site.S, R + I.B, I.C, C);
   goto HandleCall;
 }
 
 L_CallStatic: {
   const Insn &I = *Ip;
-  CallVal = callStatic(Fn.Sites[I.D], R + I.B, I.C, C);
+  CallVal = sendStatic(Fn.Sites[I.D].S, R + I.B, I.C, C);
   goto HandleCall;
 }
 
 L_CallSelect: {
   const Insn &I = *Ip;
-  CallVal = callSelect(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendSelect(Site, Site.S, R + I.B, I.C, C);
   goto HandleCall;
 }
 
 L_CallPrim: {
   const Insn &I = *Ip;
-  CallVal = callPrim(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendPrim(Site.S, Site.Prim, R + I.B, I.C, C);
   goto HandleCall;
 }
 
 L_CallPred: {
   const Insn &I = *Ip;
-  CallVal = callPred(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendPredicted(Site, Site.S, Site.Prim, R + I.B, I.C, C);
   goto HandleCall;
 }
 
 L_CallFeedback: {
   const Insn &I = *Ip;
-  CallVal = callFeedback(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendFeedback(Site, Site.S, Site.TargetPrim, R + I.B, I.C, C);
   goto HandleCall;
 }
 
@@ -917,7 +413,7 @@ L_CallClosure: {
   const Insn &I = *Ip;
   // Callee passed by value: the register may be clobbered by the callee's
   // result landing in I.A == I.B.
-  CallVal = callClosureValue(R[I.B], R + I.B + 1, I.C, Locs[Ip - Code], C);
+  CallVal = callClosure(R[I.B], R + I.B + 1, I.C, Locs[Ip - Code], C);
   goto HandleCall;
 }
 
@@ -944,15 +440,10 @@ HandleCall: {
           BC_DISPATCH();
         }
       }
-      // Methods catch boundary-0 returns of their own activation (the
-      // AST walker's invokeVersion epilogue).
-      if (Fn.IsMethod && C.Boundary == 0 && C.Activation == Activation) {
-        Value Ret = C.Val;
-        C = Control();
-        return Ret;
-      }
     }
-    return Value::nil(); // propagate Return/Error to the caller
+    // Propagate Return/Error to the caller; a boundary-0 return to this
+    // method's own activation is caught by ExecProtocol::invokeVersion.
+    return Value::nil();
   }
   R[Ip->A] = CallVal;
   ++Ip;
@@ -964,25 +455,10 @@ HandleCall: {
 L_MakeClosure: {
   const Insn &I = *Ip;
   BC_CHARGE(Expr::Kind::ClosureLit);
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
-    return Value::nil();
-  }
   const BcClosureRef &Ref = Fn.Closures[I.D];
-  if (uint64_t N = membudget::closureBytes(Ref.Lit->Captures.size());
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
+  Obj *O = allocClosure(Ref.Lit, F, Locs[Ip - Code], C);
+  if (!O)
     return Value::nil();
-  }
-  ++Stats.ClosuresCreated;
-  Stats.Cycles += Costs.ClosureCreateCost;
-  std::vector<CellPtr> Captured;
-  Captured.reserve(Ref.Lit->Captures.size());
-  for (const CaptureSpec &CS : Ref.Lit->Captures)
-    Captured.push_back(CS.Source == CaptureSpec::From::EnclosingCell
-                           ? F.cell(CS.Index)
-                           : F.capture(CS.Index));
-  Obj *O = TheHeap.newClosure(Ref.Lit, std::move(Captured), CurrentHome);
   O->BcFn = Ref.Fn;
   R[I.A] = Value::ofObj(O);
   ++Ip;
@@ -992,19 +468,11 @@ L_MakeClosure: {
 L_NewObj: {
   const Insn &I = *Ip;
   BC_CHARGE(Expr::Kind::New);
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
-    return Value::nil();
-  }
   const BcNewSite &NS = Fn.NewSites[I.D];
-  if (uint64_t N = membudget::instanceBytes(NS.LayoutSize);
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
+  Obj *O = allocInstance(NS.N->Class, NS.LayoutSize, Locs[Ip - Code], C);
+  if (!O)
     return Value::nil();
-  }
-  ++Stats.Allocations;
-  Stats.Cycles += Costs.AllocCost + NS.LayoutSize;
-  R[I.A] = Value::ofObj(TheHeap.newInstance(NS.N->Class, NS.LayoutSize));
+  R[I.A] = Value::ofObj(O);
   ++Ip;
   BC_DISPATCH();
 }
@@ -1019,7 +487,6 @@ L_InitSlot: {
 L_GetSlot: {
   const Insn &I = *Ip;
   const BcSlotSite &SS = Fn.SlotSites[I.D];
-  SlotCacheState &SC = SlotCaches[SS.CacheSlot];
   const Value &ObjV = R[I.B];
   if (!ObjV.isObject() ||
       ObjV.asObject()->payload() != Obj::Payload::Instance) {
@@ -1029,17 +496,10 @@ L_GetSlot: {
     return Value::nil();
   }
   Obj *O = ObjV.asObject();
-  int Idx;
-  if (SC.CachedIndex >= 0 && O->getClass() == SC.CachedClass) {
-    Idx = SC.CachedIndex;
-  } else {
-    Idx = P.Classes.slotIndex(O->getClass(), SS.Name);
-    if (Idx < 0) {
-      failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
-      return Value::nil();
-    }
-    SC.CachedClass = O->getClass();
-    SC.CachedIndex = Idx;
+  const int Idx = slotIndex(SS, O->getClass());
+  if (Idx < 0) {
+    failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
+    return Value::nil();
   }
   Stats.Cycles += Costs.SlotCost;
   R[I.A] = O->Slots[Idx];
@@ -1050,7 +510,6 @@ L_GetSlot: {
 L_SetSlot: {
   const Insn &I = *Ip;
   const BcSlotSite &SS = Fn.SlotSites[I.D];
-  SlotCacheState &SC = SlotCaches[SS.CacheSlot];
   const Value &ObjV = R[I.B];
   if (!ObjV.isObject() ||
       ObjV.asObject()->payload() != Obj::Payload::Instance) {
@@ -1059,17 +518,10 @@ L_SetSlot: {
     return Value::nil();
   }
   Obj *O = ObjV.asObject();
-  int Idx;
-  if (SC.CachedIndex >= 0 && O->getClass() == SC.CachedClass) {
-    Idx = SC.CachedIndex;
-  } else {
-    Idx = P.Classes.slotIndex(O->getClass(), SS.Name);
-    if (Idx < 0) {
-      failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
-      return Value::nil();
-    }
-    SC.CachedClass = O->getClass();
-    SC.CachedIndex = Idx;
+  const int Idx = slotIndex(SS, O->getClass());
+  if (Idx < 0) {
+    failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
+    return Value::nil();
   }
   Stats.Cycles += Costs.SlotCost;
   O->Slots[Idx] = R[I.C];
@@ -1096,251 +548,4 @@ L_RetNonLocal: {
 #undef BC_DISPATCH
 #undef BC_CHARGE
 #undef BC_UNLIKELY
-}
-
-//===----------------------------------------------------------------------===//
-// Primitives (verbatim from the AST tier)
-//===----------------------------------------------------------------------===//
-
-Value BytecodeInterpreter::invokePrim(PrimOp Op, const Value *Args,
-                                      SourceLoc Loc, Control &C) {
-  auto WantInt = [&](const Value &V, int64_t &Out) {
-    if (!V.isInt()) {
-      failPrimType(C, Op, Loc, "an integer");
-      return false;
-    }
-    Out = V.asInt();
-    return true;
-  };
-  auto WantStr = [&](const Value &V, const std::string *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Str) {
-      failPrimType(C, Op, Loc, "a string");
-      return false;
-    }
-    Out = &V.asObject()->Str;
-    return true;
-  };
-  auto WantArray = [&](const Value &V, Obj *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Array) {
-      failPrimType(C, Op, Loc, "an array");
-      return false;
-    }
-    Out = V.asObject();
-    return true;
-  };
-
-  int64_t A = 0, B = 0;
-  const std::string *SA = nullptr, *SB = nullptr;
-  Obj *Arr = nullptr;
-
-  switch (Op) {
-  case PrimOp::None:
-    return fail(C, TrapKind::InternalError, Loc,
-                "internal: invoking PrimOp::None");
-
-  case PrimOp::IntAdd:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A + B);
-  case PrimOp::IntSub:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A - B);
-  case PrimOp::IntMul:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A * B);
-  case PrimOp::IntDiv:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "division by zero");
-    return Value::ofInt(A / B);
-  case PrimOp::IntMod:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "modulo by zero");
-    return Value::ofInt(A % B);
-  case PrimOp::IntNeg:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    return Value::ofInt(-A);
-  case PrimOp::IntLess:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A < B);
-  case PrimOp::IntLessEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A <= B);
-  case PrimOp::IntGreater:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A > B);
-  case PrimOp::IntGreaterEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A >= B);
-  case PrimOp::IntEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A == B);
-  case PrimOp::IntNe:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A != B);
-
-  case PrimOp::BoolNot:
-    if (!Args[0].isBool())
-      return fail(C, TrapKind::TypeError, Loc, "'not' expects a boolean");
-    return Value::ofBool(!Args[0].asBool());
-  case PrimOp::BoolEq:
-    if (!Args[0].isBool() || !Args[1].isBool())
-      return fail(C, TrapKind::TypeError, Loc,
-                  "'==' on booleans expects booleans");
-    return Value::ofBool(Args[0].asBool() == Args[1].asBool());
-
-  case PrimOp::AnyEq:
-    return Value::ofBool(Args[0].identicalTo(Args[1]));
-  case PrimOp::AnyNe:
-    return Value::ofBool(!Args[0].identicalTo(Args[1]));
-
-  case PrimOp::StrConcat:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::stringBytes(SA->size() + SB->size());
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(*SA + *SB));
-  case PrimOp::StrEq:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA == *SB);
-  case PrimOp::StrLess:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA < *SB);
-  case PrimOp::StrSize:
-    if (!WantStr(Args[0], SA))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(SA->size()));
-
-  case PrimOp::ArrayNew:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    if (A < 0)
-      return fail(C, TrapKind::TypeError, Loc,
-                  "array size must be non-negative");
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::arrayBytes(static_cast<uint64_t>(A));
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    ++Stats.Allocations;
-    Stats.Cycles += Costs.AllocCost + static_cast<uint64_t>(A);
-    return Value::ofObj(TheHeap.newArray(static_cast<size_t>(A)));
-  case PrimOp::ArrayAt:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    return Arr->Slots[static_cast<size_t>(A)];
-  case PrimOp::ArrayPut:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    Arr->Slots[static_cast<size_t>(A)] = Args[2];
-    return Args[2];
-  case PrimOp::ArraySize:
-    if (!WantArray(Args[0], Arr))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(Arr->Slots.size()));
-
-  case PrimOp::Print:
-    if (Opts.Output)
-      *Opts.Output << valueToString(Args[0]) << '\n';
-    return Value::nil();
-  case PrimOp::ClassName: {
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    const std::string &Name =
-        P.Syms.name(P.Classes.info(Args[0].classOf()).Name);
-    if (uint64_t N = membudget::stringBytes(Name.size()); !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(Name));
-  }
-  case PrimOp::Abort:
-    return fail(C, TrapKind::UserAbort, Loc,
-                "abort: " + valueToString(Args[0]));
-  }
-  return fail(C, TrapKind::InternalError, Loc,
-              "internal: unknown primitive");
-}
-
-//===----------------------------------------------------------------------===//
-// Entry points
-//===----------------------------------------------------------------------===//
-
-Value BytecodeInterpreter::callGeneric(const std::string &Name,
-                                       std::vector<Value> Args, bool &Ok) {
-  Ok = false;
-  Error.clear();
-  Trap.reset();
-  // Anchor the native-stack backstop at the point the embedder entered.
-  char StackProbe;
-  StackBase = reinterpret_cast<uintptr_t>(&StackProbe);
-  // A deadline that expired before entry fails immediately rather than
-  // waiting for the first sampled chargeNode poll.
-  if (Opts.Cancel && Opts.Cancel->stopRequested()) {
-    CtrDeadlineExpired.add();
-    failTop(TrapKind::DeadlineExceeded, Opts.Cancel->reason());
-    return Value::nil();
-  }
-  Symbol S = P.Syms.find(Name);
-  GenericId G = S.isValid()
-                    ? P.lookupGeneric(S, static_cast<unsigned>(Args.size()))
-                    : GenericId();
-  if (!G.isValid()) {
-    failTop(TrapKind::NoApplicableMethod,
-            "no generic function '" + Name + "/" +
-                std::to_string(Args.size()) + "'");
-    return Value::nil();
-  }
-  std::vector<ClassId> Classes;
-  for (const Value &V : Args)
-    Classes.push_back(V.classOf());
-  bool Ambiguous = false;
-  MethodId Target = P.dispatch(G, Classes, &Ambiguous);
-  if (!Target.isValid()) {
-    failTop(Ambiguous ? TrapKind::AmbiguousDispatch
-                      : TrapKind::NoApplicableMethod,
-            Ambiguous ? "message '" + Name + "' is ambiguous"
-                      : "message '" + Name + "' not understood");
-    return Value::nil();
-  }
-
-  Control C;
-  Value Result = bcInvokeMethod(Target, CP.selectVersion(Target, Classes),
-                                Args.data(), Args.size(), SourceLoc(), C);
-  if (C.K == Control::Kind::Error)
-    return Value::nil();
-  if (C.K == Control::Kind::Return) {
-    failTop(TrapKind::InternalError,
-            "non-local return escaped its home activation");
-    return Value::nil();
-  }
-  Ok = true;
-  return Result;
-}
-
-bool BytecodeInterpreter::callMain(int64_t Arg) {
-  bool Ok = false;
-  callGeneric("main", {Value::ofInt(Arg)}, Ok);
-  return Ok;
 }

@@ -8,13 +8,14 @@
 /// Executes a BcModule: the flat register-bytecode twin of the AST
 /// Interpreter, with the same public surface (callMain/callGeneric,
 /// RunStats, RuntimeTrap, rendered errors) so the driver can select a
-/// tier without caring which one runs.  The dispatch loop is computed
-/// goto under GCC/Clang and a switch elsewhere; Frame/FramePool, the
-/// Dispatcher (as the inline caches' miss path), resource guards, the
-/// deadline poll and the cost model are shared with the AST tier, and the
-/// charged instruction stream reproduces the AST walker's accounting
-/// exactly — RunStats are bit-identical across tiers by construction,
-/// which tests/BytecodeTests.cpp enforces differentially.
+/// tier without caring which one runs.  This class owns only the dispatch
+/// loop (computed goto under GCC/Clang, a switch elsewhere) and its
+/// per-thread inline-cache side tables.  Primitives, traps, guards, stats
+/// publication and the send protocol are the AST tier's own, from
+/// ExecCore (interp/ExecCore.h); the charged instruction stream
+/// reproduces the AST walker's node accounting, so RunStats are
+/// bit-identical across tiers, which tests/BytecodeTests.cpp enforces
+/// differentially.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,15 +23,14 @@
 #define SELSPEC_BYTECODE_BYTECODEINTERPRETER_H
 
 #include "bytecode/Bytecode.h"
-#include "interp/Interpreter.h"
+#include "interp/ExecCore.h"
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <vector>
 
 namespace selspec {
 
-class BytecodeInterpreter {
+class BytecodeInterpreter : public ExecProtocol<BytecodeInterpreter> {
 public:
   /// \p Mod must be the compilation of \p CP (see compileToBytecode) and
   /// must outlive the interpreter.  Both are shared, never mutated: all
@@ -40,55 +40,37 @@ public:
   BytecodeInterpreter(const CompiledProgram &CP, const BcModule &Mod,
                       RunOptions Opts = {}, CostModel Costs = {});
 
-  /// Publishes the accumulated RunStats (`interp.*`, summed with the AST
-  /// tier's) and the IC counters (`bytecode.*`).
+  /// Publishes the IC counters (`bytecode.*`); ExecCore publishes
+  /// `interp.*`.
   ~BytecodeInterpreter();
-
-  bool callMain(int64_t Arg);
-  Value callGeneric(const std::string &Name, std::vector<Value> Args,
-                    bool &Ok);
-
-  const RunStats &stats() const { return Stats; }
-  const RuntimeTrap &trap() const { return Trap; }
-  const std::string &errorMessage() const { return Error; }
-  Dispatcher &dispatcher() { return Disp; }
-  Heap &heap() { return TheHeap; }
-  const CostModel &costs() const { return Costs; }
-
-  std::string valueToString(const Value &V) const;
 
   uint64_t icHits() const { return IcHits; }
   uint64_t icMisses() const { return IcMisses; }
   uint64_t icMisdispatches() const { return IcMisdispatches; }
 
 private:
-  struct Control {
-    enum class Kind : uint8_t { None, Return, Error };
-    Kind K = Kind::None;
-    uint64_t Activation = 0;
-    uint32_t Boundary = 0;
-    Value Val;
+  friend class ExecProtocol<BytecodeInterpreter>;
 
-    bool active() const { return K != Kind::None; }
-  };
+  Value execute(const BcFunction &Fn, Frame &F, Control &C);
 
-  Value execute(const BcFunction &Fn, Frame &F, uint64_t Activation,
-                Control &C);
-
-  Value callDyn(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callStatic(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callSelect(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callPrim(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callPred(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callFeedback(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callClosureValue(Value Callee, Value *Args, size_t N, SourceLoc Loc,
-                         Control &C);
-
-  Value bcInvokeMethod(MethodId M, int VersionIndex, Value *Args, size_t N,
-                       SourceLoc CallLoc, Control &C);
-  Value bcInvokeVersion(const CompiledMethod &CM, Value *Args, size_t N,
-                        SourceLoc CallLoc, Control &C);
-  Value invokePrim(PrimOp Op, const Value *Args, SourceLoc Loc, Control &C);
+  // ExecProtocol hooks: every body is a BcFunction.  Closures made by this
+  // tier carry theirs; ones handed in from outside (embedder values) fall
+  // back to the module map.
+  const BcFunction *methodBody(const CompiledMethod &CM) {
+    return Mod.ByVersion[CM.Index];
+  }
+  const BcFunction *closureBody(Obj *Closure) {
+    if (Closure->BcFn)
+      return Closure->BcFn;
+    auto It = Mod.ByClosure.find(Closure->Lit);
+    return It == Mod.ByClosure.end() ? nullptr : It->second;
+  }
+  Value runBody(const BcFunction &Fn, Frame &F, Control &C) {
+    return execute(Fn, F, C);
+  }
+  /// Inline-cache front ends of the core's Dispatcher lookups.
+  bool lookupTarget(const BcSite &Site, MethodId &Target, int &Version);
+  void lookupVersion(const BcSite &Site, MethodId &Target, int &Version);
 
   /// Inline-cache probe/fill over ClassScratch, against this
   /// interpreter's side-table entry for the site (IcTable[Site.IcSlot]).
@@ -97,59 +79,6 @@ private:
   /// (`bytecode.ic_misdispatch`).
   bool icFind(const BcSite &Site, MethodId &Target, int &Version);
   void icInsert(const BcSite &Site, MethodId Target, int Version);
-
-  void gatherClasses(const Value *Args, size_t N) {
-    ClassScratch.clear();
-    for (size_t I = 0; I != N; ++I)
-      ClassScratch.push_back(Args[I].classOf());
-  }
-
-  void recordArc(CallSiteId Site, MethodId Callee);
-  Value fail(Control &C, TrapKind Kind, SourceLoc Loc, std::string Message);
-  void failTop(TrapKind Kind, std::string Message);
-  bool heapHasRoom() const {
-    return TheHeap.numAllocated() < Opts.Limits.MaxObjects;
-  }
-  /// Same pre-allocation byte-budget check as the AST tier: identical
-  /// modeled sizes at identical points, so the trap is tier-invariant.
-  bool heapBytesOk(uint64_t Incoming) const {
-    return TheHeap.bytesAllocated() + Incoming <= Opts.Limits.MaxBytes;
-  }
-
-  [[gnu::cold]] [[gnu::noinline]] Value failPrimType(Control &C, PrimOp Op,
-                                                     SourceLoc Loc,
-                                                     const char *Expected);
-  [[gnu::cold]] [[gnu::noinline]] Value failBounds(Control &C, SourceLoc Loc,
-                                                   int64_t Index, size_t Size);
-  [[gnu::cold]] [[gnu::noinline]] Value failNoSlot(Control &C, SourceLoc Loc,
-                                                   ClassId Cls,
-                                                   Symbol SlotName);
-  [[gnu::cold]] [[gnu::noinline]] Value failDispatch(Control &C,
-                                                     const SendExpr *S);
-  [[gnu::cold]] [[gnu::noinline]] Value failNodeBudget(Control &C,
-                                                       SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failDepth(Control &C, SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failNativeStack(Control &C,
-                                                        SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failHeapLimit(Control &C,
-                                                      SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failMemoryBudget(Control &C,
-                                                         SourceLoc Loc,
-                                                         uint64_t Requested);
-  [[gnu::cold]] [[gnu::noinline]] Value failDeadline(Control &C,
-                                                     SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failInjected(Control &C, SourceLoc Loc,
-                                                     const char *Name);
-
-  /// Same sampled poll cadence as the AST tier (RunStats-identical).
-  static constexpr uint64_t DeadlineCheckMask = 8191;
-
-  bool nativeStackLow() const {
-    char Probe;
-    uintptr_t Here = reinterpret_cast<uintptr_t>(&Probe);
-    size_t Used = StackBase >= Here ? StackBase - Here : Here - StackBase;
-    return Used > StackBudget;
-  }
 
   /// One send site's per-thread inline cache: the BcIcEntry ways plus the
   /// round-robin replacement cursor, indexed by BcSite::IcSlot.
@@ -164,28 +93,25 @@ private:
     int32_t CachedIndex = -1;
   };
 
-  const CompiledProgram &CP;
-  const Program &P;
+  /// Layout index of slot site \p SS in class \p Cls, through the site's
+  /// per-thread one-entry cache; -1 when the class has no such slot.
+  int slotIndex(const BcSlotSite &SS, ClassId Cls) {
+    SlotCacheState &SC = SlotCaches[SS.CacheSlot];
+    if (SC.CachedIndex >= 0 && Cls == SC.CachedClass)
+      return SC.CachedIndex;
+    const int Idx = P.Classes.slotIndex(Cls, SS.Name);
+    if (Idx >= 0) {
+      SC.CachedClass = Cls;
+      SC.CachedIndex = Idx;
+    }
+    return Idx;
+  }
+
   const BcModule &Mod;
-  RunOptions Opts;
-  CostModel Costs;
-  Dispatcher Disp;
-  Heap TheHeap;
-  FramePool Frames;
   /// Per-thread IC side-tables (the module itself is immutable and
   /// shared): sized once from Mod.NumIcSlots / Mod.NumSlotCacheSlots.
   std::vector<IcSlotState> IcTable;
   std::vector<SlotCacheState> SlotCaches;
-  std::vector<ClassId> ClassScratch;
-  RunStats Stats;
-  RuntimeTrap Trap;
-  std::string Error;
-  uint64_t NextActivation = 1;
-  uint32_t Depth = 0;
-  uintptr_t StackBase = 0;
-  size_t StackBudget;
-  uint64_t CurrentHome = 0;
-  std::vector<MethodId> CallStack;
   /// Inline-cache observability (published as `bytecode.*` counters).
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;

@@ -15,68 +15,11 @@ using namespace selspec;
 
 const char *selspec::bcOpName(BcOp Op) {
   switch (Op) {
-  case BcOp::LoadInt:
-    return "LoadInt";
-  case BcOp::LoadBool:
-    return "LoadBool";
-  case BcOp::LoadStr:
-    return "LoadStr";
-  case BcOp::LoadNil:
-    return "LoadNil";
-  case BcOp::LoadVarSlot:
-    return "LoadVarSlot";
-  case BcOp::LoadVarCell:
-    return "LoadVarCell";
-  case BcOp::LoadVarCapture:
-    return "LoadVarCapture";
-  case BcOp::Charge:
-    return "Charge";
-  case BcOp::Move:
-    return "Move";
-  case BcOp::LoadNilRaw:
-    return "LoadNilRaw";
-  case BcOp::StoreSlot:
-    return "StoreSlot";
-  case BcOp::StoreCell:
-    return "StoreCell";
-  case BcOp::StoreCapture:
-    return "StoreCapture";
-  case BcOp::LetCell:
-    return "LetCell";
-  case BcOp::Jump:
-    return "Jump";
-  case BcOp::CondBranch:
-    return "CondBranch";
-  case BcOp::StackCheck:
-    return "StackCheck";
-  case BcOp::CallDyn:
-    return "CallDyn";
-  case BcOp::CallStatic:
-    return "CallStatic";
-  case BcOp::CallSelect:
-    return "CallSelect";
-  case BcOp::CallPrim:
-    return "CallPrim";
-  case BcOp::CallPred:
-    return "CallPred";
-  case BcOp::CallFeedback:
-    return "CallFeedback";
-  case BcOp::CallClosure:
-    return "CallClosure";
-  case BcOp::MakeClosure:
-    return "MakeClosure";
-  case BcOp::NewObj:
-    return "NewObj";
-  case BcOp::InitSlot:
-    return "InitSlot";
-  case BcOp::GetSlot:
-    return "GetSlot";
-  case BcOp::SetSlot:
-    return "SetSlot";
-  case BcOp::RetLocal:
-    return "RetLocal";
-  case BcOp::RetNonLocal:
-    return "RetNonLocal";
+#define BC_OP_NAME(Name)                                                       \
+  case BcOp::Name:                                                             \
+    return #Name;
+    SELSPEC_BC_OPS(BC_OP_NAME)
+#undef BC_OP_NAME
   }
   return "?";
 }
@@ -204,7 +147,7 @@ void printSite(const BcSite &Site, size_t Idx, const Program &P,
      << " binding=" << bindKindName(S->Binding.Kind);
   if (Site.Prim != PrimOp::None)
     OS << " prim=" << primOpName(Site.Prim);
-  if (S->Binding.Kind == SendBindKind::FeedbackGuard && Site.TargetIsBuiltin)
+  if (S->Binding.Kind == SendBindKind::FeedbackGuard && Site.TargetPrim != PrimOp::None)
     OS << " target-prim=" << primOpName(Site.TargetPrim);
   // IC contents are per-thread interpreter state now, not module state;
   // the module only records which side-table slot the site owns.

@@ -13,8 +13,36 @@ using namespace selspec::fuzz;
 
 namespace {
 
+/// Replaces the digit run at or after a random position (wrapping to the
+/// first run) with a boundary number: the literal, size and count values
+/// where overflow and saturation checks sit, some just past the Int range.
+void rewriteDigits(std::string &S, Rng &R) {
+  static const char *Boundary[] = {
+      "0",          "1",
+      "2147483647", "2147483648",
+      "4294967296", "4611686018427387904",
+      "9223372036854775807", "9223372036854775808",
+      "18446744073709551615",
+  };
+  auto IsDigit = [](char Ch) { return Ch >= '0' && Ch <= '9'; };
+  size_t Pos = R.below(static_cast<uint32_t>(S.size()));
+  size_t Begin = S.size();
+  for (size_t I = 0; I != S.size() && Begin == S.size(); ++I)
+    if (IsDigit(S[(Pos + I) % S.size()]))
+      Begin = (Pos + I) % S.size();
+  if (Begin == S.size())
+    return; // no digits at all
+  while (Begin && IsDigit(S[Begin - 1]))
+    --Begin;
+  size_t End = Begin;
+  while (End != S.size() && IsDigit(S[End]))
+    ++End;
+  S.replace(Begin, End - Begin,
+            Boundary[R.below(sizeof(Boundary) / sizeof(Boundary[0]))]);
+}
+
 void mutateOnce(std::string &S, Rng &R) {
-  switch (R.below(6)) {
+  switch (R.below(7)) {
   case 0: { // flip one bit
     if (S.empty())
       return;
@@ -58,6 +86,10 @@ void mutateOnce(std::string &S, Rng &R) {
     S.insert(R.below(static_cast<uint32_t>(S.size() + 1)), Chunk);
     break;
   }
+  case 5: // rewrite a number to a boundary value
+    if (!S.empty())
+      rewriteDigits(S, R);
+    break;
   default: { // truncate (mid-token, mid-record truncation)
     if (S.empty())
       return;

@@ -23,9 +23,9 @@ namespace selspec {
 namespace fuzz {
 
 /// Applies \p NumMutations random byte-level mutations (bit flips, byte
-/// overwrites, insertions, deletions, chunk duplication, truncation) to a
-/// copy of \p Input, driven by \p R.  The result may be any length,
-/// including empty.
+/// overwrites, insertions, deletions, chunk duplication, rewriting a digit
+/// run to a boundary number, truncation) to a copy of \p Input, driven by
+/// \p R.  The result may be any length, including empty.
 std::string mutateBytes(const std::string &Input, Rng &R,
                         unsigned NumMutations);
 

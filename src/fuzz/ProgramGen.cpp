@@ -32,12 +32,35 @@ struct GenState {
 
 void genExpr(GenState &S, std::ostringstream &OS, unsigned Depth);
 
+/// An Int operand: usually small, one time in five a boundary value where
+/// wraparound, the division-overflow trap and modeled-size saturation
+/// live.  INT64_MIN has no literal form, so it appears as
+/// neg(INT64_MAX) - 1.
+void genInt(GenState &S, std::ostringstream &OS) {
+  static const char *Boundary[] = {
+      "0",
+      "1",
+      "neg(1)",
+      "9223372036854775807",
+      "neg(9223372036854775807)",
+      "(neg(9223372036854775807) - 1)",
+      "2147483648",
+      "neg(2147483648)",
+      "4611686018427387904",
+      "neg(4611686018427387904)",
+  };
+  if (S.R.chance(20))
+    OS << Boundary[S.R.below(sizeof(Boundary) / sizeof(Boundary[0]))];
+  else
+    OS << S.R.below(100);
+}
+
 /// A receiver-ish expression: something likely (not certain) to be an
 /// instance or integer.
 void genSimple(GenState &S, std::ostringstream &OS) {
   switch (S.R.below(6)) {
   case 0:
-    OS << S.R.below(100);
+    genInt(S, OS);
     break;
   case 1:
   case 2:

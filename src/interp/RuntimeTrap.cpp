@@ -30,6 +30,8 @@ const char *selspec::trapKindName(TrapKind K) {
     return "arity-mismatch";
   case TrapKind::UserAbort:
     return "user-abort";
+  case TrapKind::ArithmeticOverflow:
+    return "arithmetic-overflow";
   case TrapKind::NodeBudgetExceeded:
     return "node-budget-exceeded";
   case TrapKind::RecursionLimitExceeded:
@@ -68,6 +70,8 @@ int selspec::trapExitCode(TrapKind K) {
     return 16;
   case TrapKind::UserAbort:
     return 17;
+  case TrapKind::ArithmeticOverflow:
+    return 18;
   case TrapKind::NodeBudgetExceeded:
     return 20;
   case TrapKind::RecursionLimitExceeded:
@@ -95,6 +99,7 @@ TrapKind selspec::trapKindForExitCode(int ExitCode) {
   case 15: return TrapKind::UndefinedSlot;
   case 16: return TrapKind::ArityMismatch;
   case 17: return TrapKind::UserAbort;
+  case 18: return TrapKind::ArithmeticOverflow;
   case 20: return TrapKind::NodeBudgetExceeded;
   case 21: return TrapKind::RecursionLimitExceeded;
   case 22: return TrapKind::HeapLimitExceeded;

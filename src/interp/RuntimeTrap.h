@@ -13,7 +13,8 @@
 /// distinct process exit code.
 ///
 /// The kinds split into three families:
-///   - program errors (TypeError..UserAbort): the Mica program misbehaved;
+///   - program errors (TypeError..ArithmeticOverflow): the Mica program
+///     misbehaved;
 ///   - resource guards (NodeBudget/RecursionLimit/HeapLimitExceeded):
 ///     a configurable ResourceLimits bound was hit before the process
 ///     could be damaged (native stack overflow, OOM, livelock);
@@ -55,6 +56,9 @@ enum class TrapKind : uint8_t {
   ArityMismatch,
   /// The `abort(reason)` primitive ran.
   UserAbort,
+  /// INT64_MIN / -1 or INT64_MIN % -1: the one Int division whose
+  /// quotient does not fit (`+ - * neg` wrap; DESIGN.md section 7).
+  ArithmeticOverflow,
   /// ResourceLimits::MaxNodes evaluated nodes exceeded (infinite loop
   /// guard).
   NodeBudgetExceeded,

@@ -8,6 +8,7 @@
 
 #include "analysis/StaticBinding.h"
 #include "hierarchy/Builtins.h"
+#include "interp/ExecCore.h"
 #include "lang/SlotResolver.h"
 #include "support/PhaseTimer.h"
 
@@ -621,32 +622,17 @@ bool Optimizer::tryFoldPrim(ExprPtr &E, PrimOp Op) {
     return true;
   };
 
+  if (isIntPrim(Op)) {
+    // ExecCore's Int rules, so a fold can never disagree with a run.  An
+    // op that traps (x/0, INT64_MIN / -1) is left for the run to report.
+    Value V;
+    if (Ints.size() != (Op == PrimOp::IntNeg ? 1u : 2u) ||
+        evalIntPrim(Op, Ints[0], Ints.size() == 2 ? Ints[1] : 0, V) !=
+            IntOutcome::Ok)
+      return false;
+    return V.isInt() ? FoldInt(V.asInt()) : FoldBool(V.asBool());
+  }
   switch (Op) {
-  case PrimOp::IntAdd:
-    return Ints.size() == 2 && FoldInt(Ints[0] + Ints[1]);
-  case PrimOp::IntSub:
-    return Ints.size() == 2 && FoldInt(Ints[0] - Ints[1]);
-  case PrimOp::IntMul:
-    return Ints.size() == 2 && FoldInt(Ints[0] * Ints[1]);
-  case PrimOp::IntDiv:
-    // Folding x/0 would hide the runtime fault; leave it alone.
-    return Ints.size() == 2 && Ints[1] != 0 && FoldInt(Ints[0] / Ints[1]);
-  case PrimOp::IntMod:
-    return Ints.size() == 2 && Ints[1] != 0 && FoldInt(Ints[0] % Ints[1]);
-  case PrimOp::IntNeg:
-    return Ints.size() == 1 && FoldInt(-Ints[0]);
-  case PrimOp::IntLess:
-    return Ints.size() == 2 && FoldBool(Ints[0] < Ints[1]);
-  case PrimOp::IntLessEq:
-    return Ints.size() == 2 && FoldBool(Ints[0] <= Ints[1]);
-  case PrimOp::IntGreater:
-    return Ints.size() == 2 && FoldBool(Ints[0] > Ints[1]);
-  case PrimOp::IntGreaterEq:
-    return Ints.size() == 2 && FoldBool(Ints[0] >= Ints[1]);
-  case PrimOp::IntEq:
-    return Ints.size() == 2 && FoldBool(Ints[0] == Ints[1]);
-  case PrimOp::IntNe:
-    return Ints.size() == 2 && FoldBool(Ints[0] != Ints[1]);
   case PrimOp::BoolNot:
     return Bools.size() == 1 && FoldBool(!Bools[0]);
   case PrimOp::BoolEq:

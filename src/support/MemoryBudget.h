@@ -42,19 +42,28 @@ constexpr uint64_t ObjBaseBytes = 64;
 constexpr uint64_t SlotBytes = 16;
 constexpr uint64_t CellBytes = 48;
 
+/// Fixed cost plus \p N units of \p Unit bytes, saturating at UINT64_MAX:
+/// a hostile size (array(2^62)) must read as "over any budget", never
+/// wrap to a small number that passes the check.
+inline uint64_t saturatingBytes(uint64_t N, uint64_t Unit) {
+  uint64_t Bytes;
+  if (__builtin_mul_overflow(N, Unit, &Bytes) ||
+      __builtin_add_overflow(Bytes, ObjBaseBytes, &Bytes))
+    return UINT64_MAX;
+  return Bytes;
+}
+
 /// Modeled bytes of a class instance with \p NumSlots slots.
 inline uint64_t instanceBytes(uint64_t NumSlots) {
-  return ObjBaseBytes + SlotBytes * NumSlots;
+  return saturatingBytes(NumSlots, SlotBytes);
 }
 /// Modeled bytes of a string of \p Len characters.
-inline uint64_t stringBytes(uint64_t Len) { return ObjBaseBytes + Len; }
+inline uint64_t stringBytes(uint64_t Len) { return saturatingBytes(Len, 1); }
 /// Modeled bytes of an array of \p N elements.
-inline uint64_t arrayBytes(uint64_t N) {
-  return ObjBaseBytes + SlotBytes * N;
-}
+inline uint64_t arrayBytes(uint64_t N) { return saturatingBytes(N, SlotBytes); }
 /// Modeled bytes of a closure capturing \p NumCaptured cells.
 inline uint64_t closureBytes(uint64_t NumCaptured) {
-  return ObjBaseBytes + CellBytes * NumCaptured;
+  return saturatingBytes(NumCaptured, CellBytes);
 }
 
 /// Heaps flush their local tally to the process-wide counter every this

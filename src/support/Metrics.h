@@ -27,10 +27,13 @@
 /// pipeline's phase gate and the interpreter's poll) use `named()`,
 /// which returns the existing counter of that name or creates one.
 ///
+/// Every name is registered exactly once (SupportTests checks the whole
+/// registry), so one counter owns each exported key.
+///
 /// Export: `toJson()` / `toJsonCompact()` render the whole registry as a
-/// flat JSON object with keys sorted (duplicate names are summed), which
-/// feeds `micac --metrics-json`, micad's per-job `metrics` field, and
-/// the `counters` section of `BENCH_*.json`.
+/// flat JSON object with keys sorted, which feeds `micac --metrics-json`,
+/// micad's per-job `metrics` field, and the `counters` section of
+/// `BENCH_*.json`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +80,7 @@ Counter &named(const char *Name);
 /// Every registered counter, registration order (unspecified across TUs).
 std::vector<const Counter *> all();
 
-/// (name, value) snapshot sorted by name, duplicate names summed — the
-/// canonical export order.
+/// (name, value) snapshot sorted by name — the canonical export order.
 std::vector<std::pair<std::string, uint64_t>> snapshot();
 
 /// Zeroes every counter (test isolation; micad workers reset after fork

@@ -7,8 +7,12 @@
 #include "support/ClassSet.h"
 #include "support/Diagnostics.h"
 #include "support/Ids.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 using namespace selspec;
 
@@ -131,4 +135,17 @@ TEST(Diagnostics, ErrorsAndRendering) {
   EXPECT_NE(S.find("3:4: error: bad thing"), std::string::npos);
   D.clear();
   EXPECT_FALSE(D.hasErrors());
+}
+
+// Each counter name is constructed exactly once in the whole program
+// (shared names go through metrics::named()), so an export never has to
+// merge two registrations — and a second tier or TU cannot silently
+// re-register a name another one owns.
+TEST(Metrics, EveryCounterNameIsRegisteredOnce) {
+  std::set<std::string> Seen;
+  for (const metrics::Counter *C : metrics::all())
+    EXPECT_TRUE(Seen.insert(C->name()).second)
+        << "counter '" << C->name() << "' is registered more than once";
+  EXPECT_TRUE(Seen.count("interp.nodes_evaluated"));
+  EXPECT_TRUE(Seen.count("deadline.expired"));
 }

@@ -12,11 +12,15 @@
 #include "interp/RuntimeTrap.h"
 
 #include "TestUtil.h"
+#include "bytecode/BytecodeCompiler.h"
+#include "bytecode/BytecodeInterpreter.h"
 #include "profile/ProfileDb.h"
 
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
+#include <tuple>
 
 using namespace selspec;
 using namespace selspec::test;
@@ -155,6 +159,126 @@ TEST(Trap, MemoryBudgetCatchesSingleHugeAllocation) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hostile values: INT64_MIN / -1 (and % -1) and array(2^62) must trap,
+// never kill the host process or the constant folder, and every form,
+// literal or main(n), must give the same trap, message and RunStats on
+// both tiers under every configuration.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct HostileCase {
+  const char *Source;
+  int64_t Input;
+  TrapKind Kind;
+};
+
+const HostileCase HostileCases[] = {
+    {"method main(n@Int) { (neg(9223372036854775807) - 1) / neg(1); }", 0,
+     TrapKind::ArithmeticOverflow},
+    {"method main(n@Int) { (neg(n) - 1) / neg(1); }", INT64_MAX,
+     TrapKind::ArithmeticOverflow},
+    {"method main(n@Int) { (neg(9223372036854775807) - 1) % neg(1); }", 0,
+     TrapKind::ArithmeticOverflow},
+    {"method main(n@Int) { (neg(n) - 1) % neg(1); }", INT64_MAX,
+     TrapKind::ArithmeticOverflow},
+    {"method main(n@Int) { array(4611686018427387904); }", 0,
+     TrapKind::MemoryBudgetExceeded},
+    {"method main(n@Int) { array(n); }", INT64_C(4611686018427387904),
+     TrapKind::MemoryBudgetExceeded},
+};
+
+/// Every RunStats field, NodeMix included, as one comparable value.
+auto statsKey(const RunStats &S) {
+  return std::make_tuple(S.DynamicDispatches, S.VersionSelects, S.StaticCalls,
+                         S.InlinePrims, S.PredictedHits, S.PredictedMisses,
+                         S.FeedbackHits, S.FeedbackMisses, S.ClosuresCreated,
+                         S.ClosureCalls, S.Allocations, S.MethodInvocations,
+                         S.NodesEvaluated, S.PeakDepth, S.Cycles, S.NodeMix);
+}
+
+} // namespace
+
+TEST(Trap, HostileValuesTrapIdenticallyOnBothTiers) {
+  const Config AllConfigs[] = {Config::Base, Config::Cust, Config::CustMM,
+                               Config::CHA, Config::Selective};
+  for (const HostileCase &HC : HostileCases) {
+    std::unique_ptr<Program> P = buildProgram({HC.Source});
+    ASSERT_TRUE(P) << HC.Source;
+    for (Config C : AllConfigs) {
+      const std::string Label =
+          std::string(HC.Source) + " under " + configName(C);
+      std::unique_ptr<CompiledProgram> CP = compileProgram(*P, C);
+      ASSERT_TRUE(CP) << Label;
+      Interpreter Ast(*CP);
+      EXPECT_FALSE(Ast.callMain(HC.Input)) << Label;
+      BcModule Mod = compileToBytecode(*CP);
+      ASSERT_TRUE(Mod.Ok) << Label << ": " << Mod.Error;
+      BytecodeInterpreter Bc(*CP, Mod);
+      EXPECT_FALSE(Bc.callMain(HC.Input)) << Label;
+
+      EXPECT_EQ(Ast.trap().Kind, HC.Kind) << Label << ": " << Ast.errorMessage();
+      EXPECT_EQ(Bc.trap().Kind, HC.Kind) << Label << ": " << Bc.errorMessage();
+      EXPECT_EQ(Ast.errorMessage(), Bc.errorMessage()) << Label;
+      EXPECT_TRUE(statsKey(Ast.stats()) == statsKey(Bc.stats())) << Label;
+    }
+  }
+}
+
+// `+ - * neg` wrap modulo 2^64.  The literal lines are folded at compile
+// time and the n lines computed at run time; both must print the same
+// wrapped values on both tiers.
+TEST(Trap, IntArithmeticWrapsIdenticallyWhenFoldedAndRun) {
+  std::unique_ptr<Program> P = buildProgram({R"(
+    method main(n@Int) {
+      print(9223372036854775807 + 1);
+      print(n + 1);
+      print(neg(9223372036854775807) - 2);
+      print(neg(n) - 2);
+      print(4611686018427387904 * 2);
+      print(n * 2);
+      print(neg(neg(9223372036854775807) - 1));
+      print(neg(neg(n) - 1));
+      print((neg(n) - 1) / 1);
+      print((neg(n) - 1) % 2);
+    }
+  )"});
+  ASSERT_TRUE(P);
+  const std::string Expected =
+      "-9223372036854775808\n-9223372036854775808\n"
+      "9223372036854775807\n9223372036854775807\n"
+      "-9223372036854775808\n-2\n"
+      "-9223372036854775808\n-9223372036854775808\n"
+      "-9223372036854775808\n0\n";
+  for (Config C : {Config::Base, Config::Selective}) {
+    std::unique_ptr<CompiledProgram> CP = compileProgram(*P, C);
+    std::string Out;
+    runMain(*CP, INT64_MAX, &Out);
+    EXPECT_EQ(Out, Expected) << configName(C);
+    std::ostringstream BcOut;
+    RunOptions Opts;
+    Opts.Output = &BcOut;
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << Mod.Error;
+    BytecodeInterpreter Bc(*CP, Mod, Opts);
+    EXPECT_TRUE(Bc.callMain(INT64_MAX)) << Bc.errorMessage();
+    EXPECT_EQ(BcOut.str(), Expected) << configName(C);
+  }
+}
+
+// Past every budget a host allocation can still fail; the run must end in
+// a trap, not take the process down.
+TEST(Trap, HostAllocationFailureBecomesInternalError) {
+  ResourceLimits L;
+  L.MaxBytes = UINT64_MAX; // no modeled-byte guard in the way
+  RuntimeTrap T = runForTrap("method main(n@Int) { array(n); }",
+                             INT64_C(4611686018427387904), L);
+  EXPECT_EQ(T.Kind, TrapKind::InternalError) << T.render();
+  EXPECT_NE(T.Message.find("host allocation failure"), std::string::npos)
+      << T.Message;
+}
+
+//===----------------------------------------------------------------------===//
 // The recursion guard: the headline robustness property.  A ten-million
 // deep recursion must trap at the configured depth, in every build mode
 // (Debug+ASan included), instead of overflowing the native stack.
@@ -260,6 +384,7 @@ TEST(Trap, ExitCodesAreStable) {
   EXPECT_EQ(trapExitCode(TrapKind::UndefinedSlot), 15);
   EXPECT_EQ(trapExitCode(TrapKind::ArityMismatch), 16);
   EXPECT_EQ(trapExitCode(TrapKind::UserAbort), 17);
+  EXPECT_EQ(trapExitCode(TrapKind::ArithmeticOverflow), 18);
   EXPECT_EQ(trapExitCode(TrapKind::NodeBudgetExceeded), 20);
   EXPECT_EQ(trapExitCode(TrapKind::RecursionLimitExceeded), 21);
   EXPECT_EQ(trapExitCode(TrapKind::HeapLimitExceeded), 22);
@@ -277,6 +402,8 @@ TEST(Trap, KindNamesAreStable) {
                "deadline-exceeded");
   EXPECT_STREQ(trapKindName(TrapKind::MemoryBudgetExceeded),
                "memory-budget-exceeded");
+  EXPECT_STREQ(trapKindName(TrapKind::ArithmeticOverflow),
+               "arithmetic-overflow");
 }
 
 TEST(Trap, ExitCodesRoundTripThroughKind) {
@@ -289,7 +416,7 @@ TEST(Trap, ExitCodesRoundTripThroughKind) {
       TrapKind::AmbiguousDispatch, TrapKind::IndexOutOfBounds,
       TrapKind::DivisionByZero,   TrapKind::UndefinedSlot,
       TrapKind::ArityMismatch,    TrapKind::UserAbort,
-      TrapKind::NodeBudgetExceeded, TrapKind::RecursionLimitExceeded,
+      TrapKind::ArithmeticOverflow, TrapKind::NodeBudgetExceeded, TrapKind::RecursionLimitExceeded,
       TrapKind::HeapLimitExceeded, TrapKind::DeadlineExceeded,
       TrapKind::MemoryBudgetExceeded, TrapKind::BindingViolation,
       TrapKind::InternalError,
@@ -303,13 +430,13 @@ TEST(Trap, ExitCodesRoundTripThroughKind) {
   }
   // The whole 8-bit exit-code space: every code that classifies as a trap
   // maps back to the same code, and the trap codes are exactly the
-  // documented set — program errors 10-17, resource guards 20-24,
+  // documented set — program errors 10-18, resource guards 20-24,
   // internal 70.  Everything else (success, diagnostics, usage, signals)
   // is None.
   for (int Code = 0; Code != 256; ++Code) {
     TrapKind K = trapKindForExitCode(Code);
     bool IsTrapCode =
-        (Code >= 10 && Code <= 17) || (Code >= 20 && Code <= 24) || Code == 70;
+        (Code >= 10 && Code <= 18) || (Code >= 20 && Code <= 24) || Code == 70;
     EXPECT_EQ(K != TrapKind::None, IsTrapCode) << "exit code " << Code;
     if (K != TrapKind::None)
       EXPECT_EQ(trapExitCode(K), Code) << "exit code " << Code;

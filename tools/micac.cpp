@@ -51,9 +51,10 @@
 /// for resilience testing; a bad spec is a usage error.
 ///
 /// Exit codes: 0 success; 1 load/compile diagnostics; 2 usage errors;
-/// 10-17 runtime traps (type error, dispatch failure, bounds, ...);
-/// 20-22 resource limits (node budget, recursion depth, heap);
-/// 23 deadline exceeded; 70 internal errors.  See trapExitCode() in
+/// 10-18 runtime traps (type error, dispatch failure, bounds, ...,
+/// arithmetic overflow); 20-22 resource limits (node budget, recursion
+/// depth, heap); 23 deadline exceeded; 24 memory budget exceeded;
+/// 70 internal errors.  See trapExitCode() in
 /// interp/RuntimeTrap.h.
 ///
 /// File arguments are looked up in the working directory first, then in
