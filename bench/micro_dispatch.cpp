@@ -137,6 +137,42 @@ void BM_VersionSelection(benchmark::State &State) {
 }
 BENCHMARK(BM_VersionSelection);
 
+void BM_VersionSelectionWidestCustMM(benchmark::State &State) {
+  // The widest method of the compiler benchmark under Cust-MM (minilang's
+  // mkIf: 6,859 versions, one per combination of argument classes).
+  // Cycles over one argument tuple per version, drawn from that version's
+  // own tuple, so every lookup matches.
+  std::string Err;
+  std::unique_ptr<Workbench> W =
+      Workbench::fromFiles({"minilang.mica", "compiler.mica"}, Err);
+  if (!W) {
+    fprintf(stderr, "%s\n", Err.c_str());
+    exit(1);
+  }
+  std::unique_ptr<CompiledProgram> CP = W->compileOnly(Config::CustMM);
+  const Program &P = W->program();
+  MethodId Widest(0);
+  for (unsigned MI = 1; MI != P.numMethods(); ++MI)
+    if (CP->versionsOf(MethodId(MI)).size() >
+        CP->versionsOf(Widest).size())
+      Widest = MethodId(MI);
+  std::vector<std::vector<ClassId>> Cases;
+  for (uint32_t VI : CP->versionsOf(Widest)) {
+    std::vector<ClassId> Args;
+    for (const ClassSet &S : CP->version(VI).Tuple)
+      Args.push_back(S.members().front());
+    Cases.push_back(std::move(Args));
+  }
+  size_t K = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(CP->selectVersion(Widest, Cases[K]));
+    if (++K == Cases.size())
+      K = 0;
+  }
+  State.counters["versions"] = static_cast<double>(Cases.size());
+}
+BENCHMARK(BM_VersionSelectionWidestCustMM);
+
 void BM_EndToEndDispatchRichards(benchmark::State &State) {
   // Wall-clock of a full Base vs Selective richards run (dispatch-heavy).
   std::string Err;

@@ -365,6 +365,9 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
       Op = BcOp::CallFeedback;
       Site.TargetPrim = P.method(Sd->Binding.Target).Prim;
       break;
+    default:
+      return fail("unknown send binding kind " +
+                  std::to_string(static_cast<unsigned>(Sd->Binding.Kind)));
     }
     Site.IcSlot = Mod.NumIcSlots++;
     S.Fn->Sites.push_back(Site);

@@ -65,16 +65,20 @@ public:
     return Names[S.value()];
   }
 
-  /// Generates a fresh symbol that cannot collide with source identifiers
-  /// (used by the inliner for renamed locals).
-  Symbol gensym(const std::string &Hint) {
-    return intern("$" + Hint + "." + std::to_string(NextGen++));
+  /// The \p N-th renaming of \p Hint, "$Hint.N": a symbol that cannot
+  /// collide with source identifiers (used by the inliner for renamed
+  /// locals).  The caller owns the numbering, so renaming the same body
+  /// again interns nothing new.
+  Symbol gensym(const std::string &Hint, uint32_t N) {
+    return intern("$" + Hint + "." + std::to_string(N));
   }
+
+  /// Number of interned symbols, including the invalid slot 0.
+  size_t size() const { return Names.size(); }
 
 private:
   std::vector<std::string> Names;
   std::unordered_map<std::string, uint32_t> Map;
-  uint64_t NextGen = 0;
 };
 
 } // namespace selspec

@@ -11,6 +11,13 @@
 /// matching tuple).  Figure 6's "routines compiled" counts these versions;
 /// the Invoked bits support the dynamic-compilation variant of Figure 6.
 ///
+/// Once every version exists, indexVersions() builds a per-method version
+/// index (DESIGN.md §15): per argument position, the classes are split
+/// into groups that no version tuple tells apart, and each group records
+/// the versions whose tuple contains it.  Run-time version selection and
+/// the optimizer's version-binding filter both answer from it instead of
+/// scanning every tuple.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELSPEC_OPT_COMPILEDPROGRAM_H
@@ -53,8 +60,15 @@ public:
   Config configuration() const { return Configuration; }
   bool usesCHA() const { return UseCHA; }
 
-  /// Appends a version; returns its index.
+  /// Appends a version; returns its index.  A checked error (stderr
+  /// diagnostic, then abort, in every build mode) once indexVersions()
+  /// has run: the index would silently miss the new version.
   uint32_t addVersion(CompiledMethod CM);
+
+  /// Builds the version index over the current versions.  Called once,
+  /// after the last addVersion; selectVersion() and overlappingVersions()
+  /// are checked errors before it.
+  void indexVersions();
 
   const std::vector<CompiledMethod> &versions() const { return Versions; }
   CompiledMethod &version(uint32_t Index) { return Versions[Index]; }
@@ -71,6 +85,11 @@ public:
   /// tuple contains \p ArgClasses.  Returns -1 when none matches (a
   /// compilation bug if dispatch really chose \p M).
   int selectVersion(MethodId M, const std::vector<ClassId> &ArgClasses) const;
+
+  /// Compile-time counterpart: the versions of \p M whose tuple
+  /// intersects \p Sets at every position (tupleIntersects), ascending.
+  std::vector<uint32_t> overlappingVersions(MethodId M,
+                                            const SpecTuple &Sets) const;
 
   /// Marks version \p Index invoked (dynamic-compilation counting for
   /// Figure 6).  Const and thread-safe by design: a snapshot is shared as
@@ -92,11 +111,44 @@ public:
   void resetInvoked();
 
 private:
+  /// The index's view of one argument position of one method: segments
+  /// [SegBegin, SegEnd) of SegStart/SegGroup cover the class-id space.
+  struct PositionIndex {
+    uint32_t SegBegin = 0;
+    uint32_t SegEnd = 0;
+  };
+
+  /// The segment holding class id \p C at position \p PI.
+  uint32_t segmentOf(const PositionIndex &PI, uint32_t C) const;
+  /// Positions of method \p M in the index, [first, first + arity).
+  const PositionIndex *positionsOf(MethodId M) const {
+    return Positions.data() + PosBegin[M.value()];
+  }
+  void requireIndexed(const char *Query) const {
+    if (!Indexed)
+      indexViolation(Query);
+  }
+  [[noreturn]] void indexViolation(const char *Query) const;
+
   const Program &P;
   Config Configuration;
   bool UseCHA;
   std::vector<CompiledMethod> Versions;
   std::vector<std::vector<uint32_t>> ByMethod;
+
+  // Version index, flat over all methods (see indexVersions()).  A group
+  // is a run [GroupBegin[G], GroupBegin[G+1]) of Members holding
+  // method-local version numbers (positions in ByMethod[M]) in ascending
+  // order; group 0 is the shared empty group.  Each segment starts at a
+  // class id (SegStart) and maps every id up to the next segment's start
+  // to one group (SegGroup); adjacent segments never share a group.
+  bool Indexed = false;
+  std::vector<uint32_t> PosBegin;
+  std::vector<PositionIndex> Positions;
+  std::vector<uint32_t> SegStart;
+  std::vector<uint32_t> SegGroup;
+  std::vector<uint32_t> GroupBegin;
+  std::vector<uint32_t> Members;
   /// One invoked bit per version.  A deque because atomics are immovable
   /// and addVersion grows the set; deque growth never relocates elements,
   /// so raced markInvoked pointers stay valid.  `mutable` + atomic is the

@@ -17,12 +17,17 @@ namespace {
 /// retargets method-level (boundary 0) returns to \p Boundary.
 class BodyRewriter {
 public:
-  BodyRewriter(SymbolTable &Syms, uint32_t Boundary)
-      : Syms(Syms), Boundary(Boundary) {
+  BodyRewriter(SymbolTable &Syms, uint32_t &NextRename, uint32_t Boundary)
+      : Syms(Syms), NextRename(NextRename), Boundary(Boundary) {
     Scopes.emplace_back();
   }
 
   void seed(Symbol Old, Symbol Fresh) { Scopes.back()[Old.value()] = Fresh; }
+
+  /// The next renaming of \p Old in this Inliner's numbering.
+  Symbol fresh(Symbol Old) {
+    return Syms.gensym(Syms.name(Old), NextRename++);
+  }
 
   void rewrite(Expr *E) {
     switch (E->getKind()) {
@@ -45,7 +50,7 @@ public:
     case Expr::Kind::Let: {
       auto *L = cast<LetExpr>(E);
       rewrite(L->Init.get());
-      Symbol Fresh = Syms.gensym(Syms.name(L->Name));
+      Symbol Fresh = fresh(L->Name);
       Scopes.back()[L->Name.value()] = Fresh;
       L->Name = Fresh;
       return;
@@ -86,7 +91,7 @@ public:
       auto *C = cast<ClosureLitExpr>(E);
       Scopes.emplace_back();
       for (Symbol &S : C->Params) {
-        Symbol Fresh = Syms.gensym(Syms.name(S));
+        Symbol Fresh = fresh(S);
         Scopes.back()[S.value()] = Fresh;
         S = Fresh;
       }
@@ -132,6 +137,7 @@ private:
   }
 
   SymbolTable &Syms;
+  uint32_t &NextRename;
   uint32_t Boundary;
   std::vector<std::unordered_map<uint32_t, Symbol>> Scopes;
 };
@@ -147,11 +153,11 @@ Inliner::inlineMethodCall(const MethodInfo &Callee, std::vector<ExprPtr> Args,
   uint32_t Boundary = freshBoundary();
   ExprPtr Body = Callee.Body->clone();
 
-  BodyRewriter RW(Syms, Boundary);
+  BodyRewriter RW(Syms, NextRename, Boundary);
   std::vector<std::pair<Symbol, ExprPtr>> Bindings;
   Bindings.reserve(Args.size());
   for (unsigned I = 0; I != Args.size(); ++I) {
-    Symbol Fresh = Syms.gensym(Syms.name(Callee.ParamNames[I]));
+    Symbol Fresh = RW.fresh(Callee.ParamNames[I]);
     RW.seed(Callee.ParamNames[I], Fresh);
     Bindings.emplace_back(Fresh, std::move(Args[I]));
   }

@@ -32,7 +32,9 @@ namespace selspec {
 class Inliner {
 public:
   /// \p Syms is mutated (gensym); one Inliner per compiled method body so
-  /// boundaries are unique within it.
+  /// boundaries and renamed names are unique within it.  Names are
+  /// numbered per Inliner, so compiling the same version again re-interns
+  /// the names of the first compile instead of growing the table.
   explicit Inliner(SymbolTable &Syms) : Syms(Syms) {}
 
   /// Inlines user method \p Callee called with \p Args.
@@ -51,6 +53,7 @@ private:
 
   SymbolTable &Syms;
   uint32_t NextBoundary = 1;
+  uint32_t NextRename = 0;
 };
 
 } // namespace selspec

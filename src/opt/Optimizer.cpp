@@ -160,6 +160,7 @@ Optimizer::compile(const SpecializationPlan &Plan) {
       CP->addVersion(std::move(CM));
     }
   }
+  CP->indexVersions();
 
   // Phase 2: optimize each user version's body.
   CurCP = CP.get();
@@ -466,13 +467,8 @@ ClassSet Optimizer::analyzeSend(ExprPtr &E) {
       for (size_t I = 0; I != EffSets.size(); ++I)
         EffSets[I] &= Applicable[I];
     }
-    const std::vector<uint32_t> &Versions = CurCP->versionsOf(Target);
-    std::vector<uint32_t> Candidates;
-    for (uint32_t VI : Versions) {
-      const CompiledMethod &CM = CurCP->version(VI);
-      if (tupleIntersects(CM.Tuple, EffSets))
-        Candidates.push_back(VI);
-    }
+    std::vector<uint32_t> Candidates =
+        CurCP->overlappingVersions(Target, EffSets);
     int Direct = -1;
     for (uint32_t VI : Candidates) {
       const CompiledMethod &CM = CurCP->version(VI);

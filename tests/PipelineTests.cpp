@@ -6,6 +6,7 @@
 
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
+#include "driver/Snapshot.h"
 
 #include "TestUtil.h"
 
@@ -118,6 +119,33 @@ TEST(Pipeline, SelectiveReducesDispatchesOnPolymorphicLoop) {
   EXPECT_LE(CHA->Run.totalDispatches(), Base->Run.totalDispatches());
   EXPECT_LE(Sel60->Run.totalDispatches(), CHA->Run.totalDispatches());
   EXPECT_LT(Sel60->Run.Cycles, Base->Run.Cycles);
+}
+
+TEST(Pipeline, RebuildingASnapshotInternsNoNewSymbols) {
+  // The inliner numbers its renamed names per compiled version, so a
+  // second build of the same config finds every name already interned.
+  std::string Err;
+  std::unique_ptr<Workbench> W =
+      Workbench::fromFiles({"minilang.mica", "compiler.mica"}, Err);
+  ASSERT_TRUE(W) << Err;
+  ASSERT_TRUE(W->collectProfile(8, Err)) << Err;
+  for (Config C : {Config::CustMM, Config::Selective}) {
+    std::shared_ptr<const CompiledSnapshot> First = W->buildSnapshot(C, Err);
+    ASSERT_TRUE(First) << Err;
+    const size_t Symbols = W->program().Syms.size();
+    std::shared_ptr<const CompiledSnapshot> Second = W->buildSnapshot(C, Err);
+    ASSERT_TRUE(Second) << Err;
+    EXPECT_EQ(W->program().Syms.size(), Symbols) << configName(C);
+    EXPECT_EQ(Second->buildInfo().CodeSize, First->buildInfo().CodeSize);
+    EXPECT_EQ(Second->buildInfo().CompiledRoutines,
+              First->buildInfo().CompiledRoutines);
+    CompiledSnapshot::JobResult A = First->run(8), B = Second->run(8);
+    ASSERT_TRUE(A.Ok && B.Ok) << A.Error << B.Error;
+    EXPECT_EQ(A.R.Output, B.R.Output);
+    EXPECT_EQ(A.R.Run.Cycles, B.R.Run.Cycles);
+    EXPECT_EQ(A.R.Run.DynamicDispatches, B.R.Run.DynamicDispatches);
+    EXPECT_EQ(A.R.Run.NodesEvaluated, B.R.Run.NodesEvaluated);
+  }
 }
 
 TEST(TextTable, FormattingHelpers) {
