@@ -14,12 +14,20 @@
 /// are reused unchanged and temporaries are as cheap as locals.
 ///
 /// The lowering preserves the AST walker's *exact* accounting: each AST
-/// node corresponds to exactly one charging point in the stream, emitted
-/// in pre-order (charge at node entry, before children), so RunStats —
+/// node corresponds to exactly one charge in the stream, emitted in
+/// pre-order (charge at node entry, before children), so RunStats —
 /// NodesEvaluated, NodeMix, Cycles, dispatch counters, PeakDepth, trap
 /// kinds — are bit-identical between tiers.  Charging is either fused
 /// into a leaf instruction (literals, variable reads) or carried by a
 /// dedicated Charge instruction preceding the node's child code.
+/// Consecutive Charge instructions (a Send whose first argument is a
+/// Send, a Seq opening with a Let, ...) form a straight-line run; every
+/// one of them but the last becomes a ChargeRun whose D holds the length
+/// of the run from it to the end.  A ChargeRun charges that whole suffix
+/// in one step and skips it when neither the node budget nor a deadline
+/// poll falls inside; otherwise it charges its own node exactly like
+/// Charge and steps to the next instruction.  Either way each node of the
+/// run is charged once, with its own kind and location.
 ///
 /// Call sites consult a small inline cache of (class tuple -> method,
 /// version) entries before the Dispatcher's PIC/memo machinery, so the
@@ -80,8 +88,11 @@ enum class BcOp : uint8_t {
   LoadVarCell,    ///< VarRef of an owned cell.  A=dst, B=cell index.
   LoadVarCapture, ///< VarRef of a captured cell.  A=dst, B=capture index.
 
-  // Charge-only marker for composite nodes (children follow).
-  Charge, ///< K=Expr::Kind; Loc is the node's (for budget/deadline traps).
+  // Charge-only markers for composite nodes (children follow).
+  Charge,    ///< K=Expr::Kind; Loc is the node's (for budget/deadline traps).
+  ChargeRun, ///< A Charge followed by more: D = this and the following
+             ///< Charge/ChargeRun instructions (>= 2), charged together
+             ///< when no budget or deadline check lands among them.
 
   // Raw data movement.
   Move,         ///< A=dst, B=src.
@@ -126,8 +137,9 @@ enum class BcOp : uint8_t {
 /// against the enum below.
 #define SELSPEC_BC_OPS(X)                                                      \
   X(LoadInt) X(LoadBool) X(LoadStr) X(LoadNil) X(LoadVarSlot) X(LoadVarCell)   \
-  X(LoadVarCapture) X(Charge) X(Move) X(LoadNilRaw) X(StoreSlot)               \
-  X(StoreCell) X(StoreCapture) X(LetCell) X(Jump) X(CondBranch) X(StackCheck)  \
+  X(LoadVarCapture) X(Charge) X(ChargeRun) X(Move) X(LoadNilRaw)               \
+  X(StoreSlot) X(StoreCell) X(StoreCapture) X(LetCell) X(Jump) X(CondBranch)   \
+  X(StackCheck)                                                                \
   X(CallDyn) X(CallStatic) X(CallSelect) X(CallPrim) X(CallPred)               \
   X(CallFeedback) X(CallClosure) X(MakeClosure) X(NewObj) X(InitSlot)          \
   X(GetSlot) X(SetSlot) X(RetLocal) X(RetNonLocal)

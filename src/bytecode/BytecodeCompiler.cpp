@@ -10,7 +10,9 @@
 // into one instruction; composite nodes emit a Charge marker, then their
 // children's code, then raw action instructions.  Raw instructions (Move,
 // Jump, CondBranch, stores, InitSlot, ...) charge nothing because the AST
-// walker had no node there.
+// walker had no node there.  Once a body is lowered, markChargeRuns turns
+// each Charge that another Charge follows into a ChargeRun carrying the
+// length of the straight-line run from it (see Bytecode.h).
 //
 // Register model: expression results flow through temp registers, which
 // are frame slots past the body's source layout.  compileExpr(E, Dst)
@@ -67,6 +69,7 @@ private:
   bool compileInto(BcFunction &Fn, const Expr *Body,
                    const FrameLayout &SrcLayout);
   bool compileExpr(const Expr *E, uint32_t Dst);
+  void markChargeRuns(BcFunction &Fn);
 
   bool fail(const std::string &Why) {
     if (Error.empty())
@@ -179,6 +182,7 @@ bool ModuleBuilder::compileInto(BcFunction &Fn, const Expr *Body,
   if (!compileExpr(Body, SrcLayout.NumSlots))
     return false;
   emit(BcOp::RetLocal, Body->getLoc(), 0, SrcLayout.NumSlots);
+  markChargeRuns(Fn);
   if (S.MaxReg > 0xFFFF)
     return fail("function '" + Fn.Name + "' needs " +
                 std::to_string(S.MaxReg) + " registers (uint16 encoding)");
@@ -186,6 +190,24 @@ bool ModuleBuilder::compileInto(BcFunction &Fn, const Expr *Body,
   Fn.Layout = SrcLayout;
   Fn.Layout.NumSlots = S.MaxReg;
   return true;
+}
+
+void ModuleBuilder::markChargeRuns(BcFunction &Fn) {
+  // Walk backwards so each Charge sees the length of the run after it.
+  // Instructions keep their places: a jump into the middle of a run lands
+  // on a shorter ChargeRun (or the final Charge) and still charges right.
+  uint32_t Run = 0;
+  for (size_t Pc = Fn.Code.size(); Pc-- != 0;) {
+    Insn &I = Fn.Code[Pc];
+    if (I.Op != BcOp::Charge) {
+      Run = 0;
+      continue;
+    }
+    if (++Run > 1) {
+      I.Op = BcOp::ChargeRun;
+      I.D = Run;
+    }
+  }
 }
 
 bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {

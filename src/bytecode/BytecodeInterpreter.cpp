@@ -165,8 +165,10 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
 
 #if defined(__GNUC__) || defined(__clang__)
 #define BC_UNLIKELY(X) __builtin_expect(!!(X), 0)
+#define BC_LIKELY(X) __builtin_expect(!!(X), 1)
 #else
 #define BC_UNLIKELY(X) (X)
+#define BC_LIKELY(X) (X)
 #endif
 
   // The charge fast path, inlined at every charged instruction: exactly
@@ -281,6 +283,26 @@ L_LoadVarCapture: {
   // ---- Charge marker for composite nodes ----
 
 L_Charge: {
+  BC_CHARGE(static_cast<Expr::Kind>(Ip->K));
+  ++Ip;
+  BC_DISPATCH();
+}
+
+L_ChargeRun: {
+  // The whole run at once when no check can fire inside it: the budget
+  // holds through its last node and, with a cancel token, no node count
+  // in it is a multiple of DeadlineCheckMask + 1.  Otherwise this node
+  // alone, exactly like Charge; the next instruction handles the rest.
+  const uint64_t Before = Stats.NodesEvaluated;
+  const uint64_t After = Before + Ip->D;
+  if (BC_LIKELY(After <= MaxNodes &&
+                (!Cancel || After <= (Before | DeadlineCheckMask)))) {
+    Stats.NodesEvaluated = After;
+    Stats.Cycles += NodeCost * Ip->D;
+    for (const Insn *End = Ip + Ip->D; Ip != End; ++Ip)
+      ++Stats.NodeMix[Ip->K];
+    BC_DISPATCH();
+  }
   BC_CHARGE(static_cast<Expr::Kind>(Ip->K));
   ++Ip;
   BC_DISPATCH();
@@ -548,4 +570,5 @@ L_RetNonLocal: {
 #undef BC_DISPATCH
 #undef BC_CHARGE
 #undef BC_UNLIKELY
+#undef BC_LIKELY
 }

@@ -78,6 +78,10 @@ void printInsn(const BcFunction &Fn, uint32_t Pc, std::ostream &OS) {
   case BcOp::Charge:
     OS << " kind=" << exprKindName(static_cast<Expr::Kind>(I.K));
     break;
+  case BcOp::ChargeRun:
+    OS << " kind=" << exprKindName(static_cast<Expr::Kind>(I.K))
+       << " run=" << I.D;
+    break;
   case BcOp::StoreSlot:
     OS << " r" << I.B << " <- r" << I.A;
     break;

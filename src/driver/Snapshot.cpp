@@ -136,12 +136,7 @@ Workbench::buildSnapshot(Config C, std::string &ErrorOut,
   std::shared_ptr<CompiledSnapshot> Snap(new CompiledSnapshot());
   Snap->Keeper = std::move(Keep);
   Snap->Info.Configuration = C;
-  if (C == Config::Selective && !Profile.empty()) {
-    // Re-run the specializer just for its statistics (cheap).
-    SelectiveSpecializer Specializer(*P, *AC, *PT, Profile, Sel);
-    Specializer.run();
-    Snap->Info.Specializer = Specializer.stats();
-  }
+  Snap->Info.Specializer = Plan.Specializer;
 
   if (!phaseGate("pipeline.optimize", "optimization", ErrorOut))
     return nullptr;

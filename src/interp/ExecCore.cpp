@@ -9,6 +9,7 @@
 #include "support/MemoryBudget.h"
 #include "support/Metrics.h"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -59,7 +60,12 @@ ExecCore::ExecCore(const CompiledProgram &CP, RunOptions Opts,
                    CostModel Costs)
     : CP(CP), P(CP.program()), Opts(Opts), Costs(Costs),
       Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
-      StackBudget(nativeStackBudget()) {}
+      StackBudget(nativeStackBudget()) {
+  if (Opts.Profile) {
+    NumArcSites = P.numCallSites();
+    ArcCounts = std::make_unique<SiteArcs[]>(NumArcSites);
+  }
+}
 
 ExecCore::~ExecCore() {
   // RunStats stays a plain struct on the hot path; totals reach the
@@ -115,10 +121,26 @@ std::string ExecCore::valueToString(const Value &V) const {
   return "?";
 }
 
-void ExecCore::recordArc(CallSiteId Site, MethodId Callee) {
-  if (!Opts.Profile || !Site.isValid())
+void ExecCore::spillArc(CallSiteId Site, MethodId Callee) {
+  if (!Site.isValid())
     return;
   Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
+}
+
+void ExecCore::flushArcs() {
+  if (!ArcCounts)
+    return;
+  for (uint32_t S = 0; S != NumArcSites; ++S) {
+    SiteArcs &A = ArcCounts[S];
+    for (unsigned I = 0; I != SiteArcSlots; ++I) {
+      if (!A.Callee[I].isValid())
+        continue;
+      Opts.Profile->addHits(CallSiteId(S), P.callSite(CallSiteId(S)).Owner,
+                            A.Callee[I], A.Count[I]);
+      A.Callee[I] = MethodId();
+      A.Count[I] = 0;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -530,6 +552,14 @@ void ExecCore::hostFailure(const char *What) {
   Depth = 0;
   CurrentHome = 0;
   CallStack.clear();
+  // The arcs counted before the failure still belong to the profile; a
+  // host that cannot take even those loses the rest, not the process.
+  try {
+    flushArcs();
+  } catch (const std::bad_alloc &) {
+    if (ArcCounts)
+      std::fill_n(ArcCounts.get(), NumArcSites, SiteArcs());
+  }
   failTop(TrapKind::InternalError,
           std::string("host allocation failure (") + What +
               ") escaped the run");

@@ -52,6 +52,7 @@
 #include <cassert>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -91,7 +92,8 @@ struct RunStats {
 };
 
 struct RunOptions {
-  /// Record (site, caller, callee, weight) arcs into Profile.
+  /// Record (site, caller, callee, weight) arcs into Profile.  The arcs
+  /// of one callGeneric reach it when that call returns, however it ends.
   CallGraph *Profile = nullptr;
   /// Verify every statically-bound send against real dispatch (tests).
   bool ValidateBindings = false;
@@ -200,6 +202,11 @@ public:
   /// Renders a value for `print` and diagnostics.
   std::string valueToString(const Value &V) const;
 
+  /// Callees counted per call site before the rest spill, send by send,
+  /// into the CallGraph.  With four, at most 3.3% of the profiled sends
+  /// of the Table 2 programs spill (typechecker, at its train input).
+  static constexpr unsigned SiteArcSlots = 4;
+
 protected:
   /// The unwinding channel of one call chain: a pending non-local return
   /// (to activation \c Activation, inline boundary \c Boundary) or a trap
@@ -226,12 +233,55 @@ protected:
   /// a tier's loop, so the pointer stays valid throughout.
   Value invokePrim(PrimOp Op, const Value *Args, SourceLoc Loc, Control &C);
 
-  void recordArc(CallSiteId Site, MethodId Callee);
+  /// Counts one invocation of \p Callee from \p Site.  A run without a
+  /// profile pays one predictable branch; a profiled one bumps a dense
+  /// per-site counter, and flushArcs() moves the counts into
+  /// RunOptions::Profile when callGeneric returns.
+  void recordArc(CallSiteId Site, MethodId Callee) {
+    if (ArcCounts)
+      countArc(Site, Callee);
+  }
   void gatherClasses(const Value *Args, size_t N) {
     ClassScratch.clear();
     for (size_t I = 0; I != N; ++I)
       ClassScratch.push_back(Args[I].classOf());
   }
+
+  // ---- Arc counters ----
+
+  /// The arc counters of one call site: the first SiteArcSlots distinct
+  /// callees in arrival order, each with its count (filled slots form a
+  /// prefix; an empty slot has an invalid callee).
+  struct SiteArcs {
+    MethodId Callee[SiteArcSlots];
+    uint64_t Count[SiteArcSlots] = {};
+  };
+
+  void countArc(CallSiteId Site, MethodId Callee) {
+    if (Site.value() >= NumArcSites)
+      return spillArc(Site, Callee);
+    SiteArcs &A = ArcCounts[Site.value()];
+    for (unsigned I = 0; I != SiteArcSlots; ++I) {
+      if (A.Callee[I] == Callee) {
+        ++A.Count[I];
+        return;
+      }
+      if (!A.Callee[I].isValid()) {
+        A.Callee[I] = Callee;
+        A.Count[I] = 1;
+        return;
+      }
+    }
+    spillArc(Site, Callee);
+  }
+  /// A send the counters cannot hold (a callee past its site's slots)
+  /// goes straight to the CallGraph; one from an invalid site records
+  /// nothing.
+  [[gnu::noinline]] void spillArc(CallSiteId Site, MethodId Callee);
+  /// Adds every counted arc to RunOptions::Profile and empties the
+  /// counters.  Safe to repeat: a flush that throws keeps the counts it
+  /// has not moved yet.
+  void flushArcs();
 
   // ---- Trap construction ----
 
@@ -390,6 +440,10 @@ protected:
   uint64_t CurrentHome = 0;
   /// Active method invocations, innermost last (for error stack traces).
   std::vector<MethodId> CallStack;
+  /// Arc counters indexed by CallSiteId; null when the run records no
+  /// profile.  Shared by both tiers through the send protocol.
+  std::unique_ptr<SiteArcs[]> ArcCounts;
+  uint32_t NumArcSites = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -668,18 +722,22 @@ Value ExecProtocol<Tier>::callGeneric(const std::string &Name,
     return Value::nil();
   // Last resort: a host allocation failure must end this job with a
   // trap, never take the process (and a thread-isolated server's other
-  // jobs) down with it.
+  // jobs) down with it.  The arcs counted during the run reach the
+  // profile on every way out: a result, a trap (deadlines included), or
+  // a host failure (hostFailure flushes them).
   try {
     Control C;
     Value Result =
         invokeMethod(Target, Version, Args.data(), Args.size(), SourceLoc(), C);
     Ok = leaveGeneric(C);
+    flushArcs();
     return Ok ? Result : Value::nil();
   } catch (const std::bad_alloc &) {
     hostFailure("std::bad_alloc");
   } catch (const std::length_error &) {
     hostFailure("std::length_error");
   }
+  Ok = false;
   return Value::nil();
 }
 

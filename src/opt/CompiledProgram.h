@@ -98,7 +98,11 @@ public:
   /// write — monotonic relaxed stores on dedicated atomics, so concurrent
   /// marking is race-free and never perturbs RunStats.
   void markInvoked(uint32_t Index) const {
-    InvokedBits[Index].store(1, std::memory_order_relaxed);
+    // Load first: a hot version on a snapshot several threads run would
+    // otherwise take a store, and its cache line, on every call.
+    std::atomic<uint8_t> &Bit = InvokedBits[Index];
+    if (!Bit.load(std::memory_order_relaxed))
+      Bit.store(1, std::memory_order_relaxed);
   }
   bool invoked(uint32_t Index) const {
     return InvokedBits[Index].load(std::memory_order_relaxed) != 0;

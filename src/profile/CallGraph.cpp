@@ -6,7 +6,6 @@
 
 #include "profile/CallGraph.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace selspec;
@@ -15,48 +14,38 @@ void CallGraph::addHits(CallSiteId Site, MethodId Caller, MethodId Callee,
                         uint64_t N) {
   assert(Site.isValid() && Caller.isValid() && Callee.isValid() &&
          "invalid arc component");
-  Weights[{Site.value(), Caller.value(), Callee.value()}] += N;
-}
-
-static Arc makeArc(uint32_t Site, uint32_t Caller, uint32_t Callee,
-                   uint64_t W) {
-  return Arc{CallSiteId(Site), MethodId(Caller), MethodId(Callee), W};
+  Weights[{Site.value(), Callee.value(), Caller.value()}] += N;
 }
 
 std::vector<Arc> CallGraph::arcs() const {
   std::vector<Arc> Out;
   Out.reserve(Weights.size());
   for (const auto &[K, W] : Weights)
-    Out.push_back(makeArc(K.Site, K.Caller, K.Callee, W));
-  std::sort(Out.begin(), Out.end(), [](const Arc &A, const Arc &B) {
-    if (A.Site != B.Site)
-      return A.Site < B.Site;
-    return A.Callee < B.Callee;
-  });
+    Out.push_back(toArc(K, W));
   return Out;
 }
 
 std::vector<Arc> CallGraph::arcsFrom(MethodId Caller) const {
   std::vector<Arc> Out;
-  for (const Arc &A : arcs())
-    if (A.Caller == Caller)
-      Out.push_back(A);
+  for (const auto &[K, W] : Weights)
+    if (K.Caller == Caller.value())
+      Out.push_back(toArc(K, W));
   return Out;
 }
 
 std::vector<Arc> CallGraph::arcsTo(MethodId Callee) const {
   std::vector<Arc> Out;
-  for (const Arc &A : arcs())
-    if (A.Callee == Callee)
-      Out.push_back(A);
+  for (const auto &[K, W] : Weights)
+    if (K.Callee == Callee.value())
+      Out.push_back(toArc(K, W));
   return Out;
 }
 
 std::vector<Arc> CallGraph::arcsAt(CallSiteId Site) const {
   std::vector<Arc> Out;
-  for (const Arc &A : arcs())
-    if (A.Site == Site)
-      Out.push_back(A);
+  for (auto It = Weights.lower_bound({Site.value(), 0, 0});
+       It != Weights.end() && It->first.Site == Site.value(); ++It)
+    Out.push_back(toArc(It->first, It->second));
   return Out;
 }
 

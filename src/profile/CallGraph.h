@@ -20,7 +20,7 @@
 #include "support/Ids.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 namespace selspec {
@@ -42,10 +42,11 @@ public:
   /// All arcs in a deterministic order (by site, then callee).
   std::vector<Arc> arcs() const;
 
-  /// Arcs leaving \p Caller / arriving at \p Callee.
+  /// Arcs leaving \p Caller / arriving at \p Callee, in arcs() order; one
+  /// pass over the graph, copying only the matches.
   std::vector<Arc> arcsFrom(MethodId Caller) const;
   std::vector<Arc> arcsTo(MethodId Callee) const;
-  /// Arcs of one call site.
+  /// Arcs of one call site, in arcs() order; a range lookup.
   std::vector<Arc> arcsAt(CallSiteId Site) const;
 
   uint64_t totalWeight() const;
@@ -58,23 +59,27 @@ public:
   void clear() { Weights.clear(); }
 
 private:
+  /// Ordered by site, then callee (then caller), so arcs() is a walk and
+  /// arcsAt() a range.  Runs add to the graph once per arc, when they
+  /// return (the interpreters count sends in per-site arrays).
   struct Key {
     uint32_t Site;
-    uint32_t Caller;
     uint32_t Callee;
-    bool operator==(const Key &K) const {
-      return Site == K.Site && Caller == K.Caller && Callee == K.Callee;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      uint64_t H = (uint64_t(K.Site) << 40) ^ (uint64_t(K.Caller) << 20) ^
-                   K.Callee;
-      return std::hash<uint64_t>()(H);
+    uint32_t Caller;
+    bool operator<(const Key &K) const {
+      if (Site != K.Site)
+        return Site < K.Site;
+      if (Callee != K.Callee)
+        return Callee < K.Callee;
+      return Caller < K.Caller;
     }
   };
 
-  std::unordered_map<Key, uint64_t, KeyHash> Weights;
+  static Arc toArc(const Key &K, uint64_t W) {
+    return Arc{CallSiteId(K.Site), MethodId(K.Caller), MethodId(K.Callee), W};
+  }
+
+  std::map<Key, uint64_t> Weights;
 };
 
 } // namespace selspec

@@ -8,20 +8,6 @@
 
 using namespace selspec;
 
-ClassId Value::classOf() const {
-  switch (K) {
-  case Kind::Nil:
-    return builtin::Nil;
-  case Kind::Int:
-    return builtin::Int;
-  case Kind::Bool:
-    return builtin::Bool;
-  case Kind::Object:
-    return O->getClass();
-  }
-  return builtin::Any;
-}
-
 bool Value::identicalTo(const Value &RHS) const {
   if (K != RHS.K)
     return false;

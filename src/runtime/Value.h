@@ -75,7 +75,9 @@ public:
   }
 
   /// The dynamic class of the value (builtin class for immediates).
-  ClassId classOf() const;
+  /// Inline: every dispatch gathers it per argument, every slot access
+  /// per object.
+  inline ClassId classOf() const;
 
   /// Identity / immediate equality (the semantics of the builtin Any ==).
   bool identicalTo(const Value &RHS) const;
@@ -146,6 +148,20 @@ private:
   ClassId Class;
   Payload P;
 };
+
+inline ClassId Value::classOf() const {
+  switch (K) {
+  case Kind::Nil:
+    return builtin::Nil;
+  case Kind::Int:
+    return builtin::Int;
+  case Kind::Bool:
+    return builtin::Bool;
+  case Kind::Object:
+    return O->getClass();
+  }
+  return builtin::Any;
+}
 
 } // namespace selspec
 

@@ -89,18 +89,7 @@ public:
   SpecTuple neededInfoForArc(const Arc &A) const;
   SpecTuple neededInfoForArc(const Arc &A, const SpecTuple &CalleeInfo) const;
 
-  struct Stats {
-    /// Methods that received at least one specialization.
-    unsigned MethodsSpecialized = 0;
-    /// Specialized versions added beyond the general versions.
-    unsigned VersionsAdded = 0;
-    /// Max versions (incl. general) for any single method.
-    unsigned MaxVersionsOfAMethod = 0;
-    /// Times cascadeSpecializations specialized a caller.
-    uint64_t CascadedSpecializations = 0;
-    /// Arcs skipped by the blow-up guard.
-    uint64_t BlowupGuardHits = 0;
-  };
+  using Stats = SelectiveStats;
   const Stats &stats() const { return S; }
 
 private:

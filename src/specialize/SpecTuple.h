@@ -19,6 +19,7 @@
 #include "hierarchy/Program.h"
 #include "support/ClassSet.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,20 @@ enum class Config : uint8_t {
 
 const char *configName(Config C);
 
+/// What one SelectiveSpecializer run did (SelectiveSpecializer::Stats).
+struct SelectiveStats {
+  /// Methods that received at least one specialization.
+  unsigned MethodsSpecialized = 0;
+  /// Specialized versions added beyond the general versions.
+  unsigned VersionsAdded = 0;
+  /// Max versions (incl. general) for any single method.
+  unsigned MaxVersionsOfAMethod = 0;
+  /// Times cascadeSpecializations specialized a caller.
+  uint64_t CascadedSpecializations = 0;
+  /// Arcs skipped by the blow-up guard.
+  uint64_t BlowupGuardHits = 0;
+};
+
 /// Which method versions to compile, plus optimizer switches.
 struct SpecializationPlan {
   /// Per user method (indexed by MethodId), the tuples to compile.  For
@@ -73,6 +88,10 @@ struct SpecializationPlan {
   bool UseCHA = false;
 
   Config Configuration = Config::Base;
+
+  /// The specializer's statistics, when the plan came from running it
+  /// (Selective with a usable profile).
+  std::optional<SelectiveStats> Specializer;
 
   /// Total compiled versions of user methods.
   unsigned totalVersions() const;

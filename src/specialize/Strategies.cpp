@@ -142,6 +142,7 @@ SpecializationPlan selspec::makePlan(Config C, const Program &P,
     Specializer.run();
     for (unsigned MI = 0; MI != P.numMethods(); ++MI)
       Plan.VersionsByMethod[MI] = Specializer.specializations()[MI];
+    Plan.Specializer = Specializer.stats();
     break;
   }
   }

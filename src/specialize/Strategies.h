@@ -28,7 +28,9 @@
 
 namespace selspec {
 
-/// Builds the plan for \p C.  \p Options only affects Selective.
+/// Builds the plan for \p C.  \p Options only affects Selective.  A plan
+/// made by running the selective specializer carries its statistics
+/// (SpecializationPlan::Specializer), so callers need not run it again.
 ///
 /// Selective wants a non-empty profile in \p CG; when it is null or empty
 /// (missing, rejected, or invalidated profile data) the plan degrades to

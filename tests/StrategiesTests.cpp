@@ -163,11 +163,17 @@ TEST(Strategies, SelectiveKeepsGeneralVersionFirst) {
   // The specialized version restricts the receiver to Circle.
   ClassId Circle = B.P->Classes.lookup(B.P->Syms.find("Circle"));
   EXPECT_EQ(DV[1][0].getSingleElement(), Circle);
+  // The plan carries the statistics of the specializer run that made it.
+  ASSERT_TRUE(Plan.Specializer.has_value());
+  EXPECT_EQ(Plan.Specializer->MethodsSpecialized, 1u);
+  EXPECT_EQ(Plan.Specializer->VersionsAdded, 1u);
+  EXPECT_EQ(Plan.Specializer->MaxVersionsOfAMethod, 2u);
 
   // Selective is far smaller than Cust here.
   SpecializationPlan CustPlan =
       makePlan(Config::Cust, *B.P, *B.AC, *B.PT, nullptr);
   EXPECT_LT(Plan.totalVersions(), CustPlan.totalVersions());
+  EXPECT_FALSE(CustPlan.Specializer.has_value());
 }
 
 TEST(Strategies, SelectiveWithEmptyProfileEqualsCHA) {
@@ -177,4 +183,5 @@ TEST(Strategies, SelectiveWithEmptyProfileEqualsCHA) {
   SpecializationPlan Plan =
       makePlan(Config::Selective, *B.P, *B.AC, *B.PT, &Empty);
   EXPECT_EQ(Plan.totalVersions(), B.P->numUserMethods());
+  EXPECT_FALSE(Plan.Specializer.has_value());
 }
