@@ -63,6 +63,7 @@ int main() {
       std::unique_ptr<CompiledProgram> CP = W->compileOnly(C);
       RunOptions Opts;
       Opts.Profile = &W->profile(); // counters stay on, as in Self
+      Opts.Tables = &W->tables();
       Interpreter I(*CP, Opts);
       if (!I.callMain(P.TestInput)) {
         std::cerr << "error: " << I.errorMessage() << '\n';

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks of the runtime lookup mechanisms the
-/// paper discusses in Section 3.5: per-site polymorphic inline caches,
-/// the global memo table, full most-specific-applicable lookup, and
-/// version selection among specialized method versions.
+/// paper discusses in Section 3.5: the compressed dispatch table every
+/// inline-cache miss reads, the full most-specific-applicable lookup it
+/// replaces, version selection among specialized method versions, and
+/// end-to-end dispatch-heavy runs on both tiers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,6 @@
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/BytecodeInterpreter.h"
 #include "runtime/DispatchTable.h"
-#include "runtime/Dispatcher.h"
 
 #include <benchmark/benchmark.h>
 
@@ -58,50 +58,6 @@ GenericId hitGeneric(const Program &P) {
 ClassId shapeClass(const Program &P, int I) {
   return P.Classes.lookup(P.Syms.find("S" + std::to_string(I)));
 }
-
-void BM_PicHitMonomorphic(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  std::vector<ClassId> Args = {shapeClass(P, 0), shapeClass(P, 1)};
-  CallSiteId Site(0);
-  D.lookup(G, Args, Site); // warm the PIC
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D.lookup(G, Args, Site));
-}
-BENCHMARK(BM_PicHitMonomorphic);
-
-void BM_PicHitPolymorphicDegree4(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  CallSiteId Site(1);
-  std::vector<std::vector<ClassId>> Cases;
-  for (int I = 0; I != 4; ++I) {
-    Cases.push_back({shapeClass(P, I), shapeClass(P, (I + 1) % 4)});
-    D.lookup(G, Cases.back(), Site); // warm
-  }
-  size_t K = 0;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(D.lookup(G, Cases[K & 3], Site));
-    ++K;
-  }
-}
-BENCHMARK(BM_PicHitPolymorphicDegree4);
-
-void BM_GlobalMemoHit(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  std::vector<ClassId> Args = {shapeClass(P, 2), shapeClass(P, 3)};
-  D.lookup(G, Args, CallSiteId()); // warm the memo, bypassing PICs
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D.lookup(G, Args, CallSiteId()));
-}
-BENCHMARK(BM_GlobalMemoHit);
 
 void BM_FullLookup(benchmark::State &State) {
   std::unique_ptr<Workbench> W = makeLookupProgram();
@@ -188,8 +144,10 @@ void BM_EndToEndDispatchRichards(benchmark::State &State) {
   }
   Config C = State.range(0) == 0 ? Config::Base : Config::Selective;
   std::unique_ptr<CompiledProgram> CP = W->compileOnly(C);
+  RunOptions Opts;
+  Opts.Tables = &W->tables();
   for (auto _ : State) {
-    Interpreter I(*CP);
+    Interpreter I(*CP, Opts);
     if (!I.callMain(50)) {
       fprintf(stderr, "%s\n", I.errorMessage().c_str());
       exit(1);
@@ -200,9 +158,9 @@ void BM_EndToEndDispatchRichards(benchmark::State &State) {
 BENCHMARK(BM_EndToEndDispatchRichards)->Arg(0)->Arg(1);
 
 void BM_EndToEndDispatchRichardsBytecode(benchmark::State &State) {
-  // Same run on the bytecode tier: per-site inline caches replace the
-  // dispatcher's PIC probe on the hot path, so the Base-vs-Selective gap
-  // here isolates what specialization still buys once sends are cached.
+  // Same run on the bytecode tier: per-site inline caches sit in front of
+  // the table lookup on the hot path, so the Base-vs-Selective gap here
+  // isolates what specialization still buys once sends are cached.
   std::string Err;
   std::unique_ptr<Workbench> W =
       Workbench::fromFiles({"richards.mica"}, Err);
@@ -221,8 +179,10 @@ void BM_EndToEndDispatchRichardsBytecode(benchmark::State &State) {
     fprintf(stderr, "bytecode lowering failed: %s\n", Mod.Error.c_str());
     exit(1);
   }
+  RunOptions Opts;
+  Opts.Tables = &W->tables();
   for (auto _ : State) {
-    BytecodeInterpreter I(*CP, Mod);
+    BytecodeInterpreter I(*CP, Mod, Opts);
     if (!I.callMain(50)) {
       fprintf(stderr, "%s\n", I.errorMessage().c_str());
       exit(1);

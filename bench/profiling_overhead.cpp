@@ -34,6 +34,7 @@ double medianRunSeconds(Workbench &W, int64_t Input, bool Profile,
     std::unique_ptr<CompiledProgram> CP = W.compileOnly(Config::Base);
     CallGraph CG;
     RunOptions Opts;
+    Opts.Tables = &W.tables();
     if (Profile)
       Opts.Profile = &CG;
     Interpreter I(*CP, Opts);
@@ -73,6 +74,7 @@ int main() {
       std::unique_ptr<CompiledProgram> CP = W->compileOnly(Config::Base);
       RunOptions Opts;
       Opts.Profile = &Train;
+      Opts.Tables = &W->tables();
       Interpreter I(*CP, Opts);
       I.callMain(P.TrainInput);
     }
@@ -80,6 +82,7 @@ int main() {
       std::unique_ptr<CompiledProgram> CP = W->compileOnly(Config::Base);
       RunOptions Opts;
       Opts.Profile = &Test;
+      Opts.Tables = &W->tables();
       Interpreter I(*CP, Opts);
       I.callMain(P.TestInput);
     }

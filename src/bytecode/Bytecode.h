@@ -30,8 +30,8 @@
 /// run is charged once, with its own kind and location.
 ///
 /// Call sites consult a small inline cache of (class tuple -> method,
-/// version) entries before the Dispatcher's PIC/memo machinery, so the
-/// hot dispatch path is a handful of compares instead of hash probes.
+/// version) entries before the program's compressed dispatch table and
+/// version selection, so the hot dispatch path is a handful of compares.
 /// The mutable IC state does NOT live in the module: a BcModule is part
 /// of an immutable, thread-shared CompiledSnapshot, so each BcSite (and
 /// each slot-access site) carries only a dense index (IcSlot/CacheSlot)
@@ -39,7 +39,7 @@
 /// BytecodeInterpreter allocates from NumIcSlots/NumSlotCacheSlots.  The
 /// 12-byte instruction encoding is unchanged; instructions still name
 /// sites, sites name side-table slots.  IC state is observability only —
-/// a hit returns exactly what Dispatcher::lookup +
+/// a hit returns exactly what DispatchTable::lookup +
 /// CompiledProgram::selectVersion would return for the same immutable
 /// program, which the SELSPEC_IC_AUDIT=1 mode re-verifies (counting
 /// `bytecode.ic_misdispatch`).
@@ -174,7 +174,7 @@ struct Insn {
 };
 
 /// Inline-cache geometry: entries per site and the widest class tuple an
-/// entry can hold (wider tuples always take the Dispatcher path).
+/// entry can hold (wider tuples always take the table path).
 constexpr unsigned BcIcEntries = 4;
 constexpr unsigned BcIcMaxArity = 6;
 

@@ -13,10 +13,10 @@
 // instructions charge, with which Expr kind, in which order (the
 // differential tests require bit-identical RunStats).
 //
-// The per-site inline cache: before falling back to the Dispatcher's
-// PIC/memo lookup, a call instruction probes the per-thread BcIcEntry
-// ways of its BcSite.  A hit must return exactly what the dispatcher
-// would have (the program is immutable during a run), so the
+// The per-site inline cache: before falling back to the compressed
+// dispatch table and version selection, a call instruction probes the
+// per-thread BcIcEntry ways of its BcSite.  A hit must return exactly
+// what the miss path would have (the program is immutable), so the
 // substitution is invisible to RunStats; SELSPEC_IC_AUDIT=1 re-verifies
 // every hit against ground-truth dispatch and counts
 // `bytecode.ic_misdispatch`.
@@ -47,10 +47,16 @@ BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
   IcAudit = Audit && Audit[0] && !(Audit[0] == '0' && Audit[1] == '\0');
 }
 
+std::vector<ExecCore::Publication>
+BytecodeInterpreter::icPublications() const {
+  return {{&CtrIcHits, IcHits},
+          {&CtrIcMisses, IcMisses},
+          {&CtrIcMisdispatch, IcMisdispatches}};
+}
+
 BytecodeInterpreter::~BytecodeInterpreter() {
-  CtrIcHits.add(IcHits);
-  CtrIcMisses.add(IcMisses);
-  CtrIcMisdispatch.add(IcMisdispatches);
+  for (const auto &[To, N] : icPublications())
+    To->add(N);
 }
 
 //===----------------------------------------------------------------------===//
@@ -124,7 +130,7 @@ bool BytecodeInterpreter::lookupTarget(const BcSite &Site, MethodId &Target,
                                        int &Version) {
   if (icFind(Site, Target, Version))
     return true;
-  Target = Disp.lookup(Site.S->Generic, ClassScratch, Site.S->Site);
+  Target = dispatchScratch(Site.S->Generic);
   if (!Target.isValid())
     return false;
   Version = CP.selectVersion(Target, ClassScratch);

@@ -34,19 +34,21 @@ class BytecodeInterpreter : public ExecProtocol<BytecodeInterpreter> {
 public:
   /// \p Mod must be the compilation of \p CP (see compileToBytecode) and
   /// must outlive the interpreter.  Both are shared, never mutated: all
-  /// adaptive state (inline caches, slot caches, dispatcher memo/PICs)
-  /// lives in per-interpreter side-tables, so any number of concurrent
-  /// interpreters may execute one (CP, Mod) snapshot.
+  /// adaptive state (inline caches, slot caches) lives in per-interpreter
+  /// side-tables, so any number of concurrent interpreters may execute
+  /// one (CP, Mod) snapshot.
   BytecodeInterpreter(const CompiledProgram &CP, const BcModule &Mod,
                       RunOptions Opts = {}, CostModel Costs = {});
 
-  /// Publishes the IC counters (`bytecode.*`); ExecCore publishes
-  /// `interp.*`.
+  /// Publishes icPublications(); ExecCore publishes its own list.
   ~BytecodeInterpreter();
+
+  /// The inline-cache counters (`bytecode.*`) with this run's values:
+  /// what the destructor publishes and per-job metrics deltas copy.
+  std::vector<Publication> icPublications() const;
 
   uint64_t icHits() const { return IcHits; }
   uint64_t icMisses() const { return IcMisses; }
-  uint64_t icMisdispatches() const { return IcMisdispatches; }
 
 private:
   friend class ExecProtocol<BytecodeInterpreter>;
@@ -68,7 +70,7 @@ private:
   Value runBody(const BcFunction &Fn, Frame &F, Control &C) {
     return execute(Fn, F, C);
   }
-  /// Inline-cache front ends of the core's Dispatcher lookups.
+  /// Inline-cache front ends of the core's table lookups.
   bool lookupTarget(const BcSite &Site, MethodId &Target, int &Version);
   void lookupVersion(const BcSite &Site, MethodId &Target, int &Version);
 

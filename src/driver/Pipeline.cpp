@@ -84,6 +84,12 @@ bool Workbench::init(const std::vector<std::string> &Sources,
   if (!phaseGate("pipeline.resolve", "cha", ErrorOut))
     return false;
   {
+    // Nothing changes the Program after resolve, so one set of tables
+    // serves every run of this workbench.
+    PhaseTimer::Scope Timing("dispatch-tables");
+    Tables = std::make_unique<DispatchTableSet>(*P);
+  }
+  {
     PhaseTimer::Scope Timing("cha");
     AC = std::make_unique<ApplicableClassesAnalysis>(*P);
     PT = std::make_unique<PassThroughAnalysis>(*P);
@@ -163,6 +169,7 @@ bool Workbench::collectProfile(int64_t Input, std::string &ErrorOut) {
   Opts.Profile = &Profile;
   Opts.Limits = Limits;
   Opts.Cancel = Cancel;
+  Opts.Tables = Tables.get();
 
   // Both tiers share the callMain/trap/errorMessage surface and record
   // identical profiles (arcs are gathered at the same sites).

@@ -148,6 +148,9 @@ public:
   Diagnostics &diagnostics() { return Diags; }
 
   Program &program() { return *P; }
+  /// The program's compressed dispatch tables, built once by the front
+  /// end and lent to every profile run and snapshot of this workbench.
+  const DispatchTableSet &tables() const { return *Tables; }
   const ApplicableClassesAnalysis &applicableClasses() const { return *AC; }
   const PassThroughAnalysis &passThrough() const { return *PT; }
   CallGraph &profile() { return Profile; }
@@ -170,6 +173,7 @@ private:
                  std::string &ErrorOut);
 
   std::unique_ptr<Program> P;
+  std::unique_ptr<DispatchTableSet> Tables;
   std::unique_ptr<ApplicableClassesAnalysis> AC;
   std::unique_ptr<PassThroughAnalysis> PT;
   CallGraph Profile;

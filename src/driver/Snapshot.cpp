@@ -24,31 +24,13 @@ metrics::Counter CtrCacheHits("snapshot_cache.hits");
 metrics::Counter CtrCacheBuilds("snapshot_cache.builds");
 metrics::Counter CtrCacheBuildFailures("snapshot_cache.build_failures");
 
-/// The per-job increments the interpreter's and dispatcher's destructors
-/// will publish onto the registry, under the same names, so per-job
-/// deltas sum exactly to the process-wide totals.
+/// Appends the increments an interpreter's destructor will publish onto
+/// the registry, under the same names, so per-job deltas sum exactly to
+/// the process-wide totals.
 void collectDelta(std::vector<std::pair<std::string, uint64_t>> &MD,
-                  const RunStats &S, const Dispatcher::Stats &D) {
-  MD.emplace_back("interp.dynamic_dispatches", S.DynamicDispatches);
-  MD.emplace_back("interp.version_selects", S.VersionSelects);
-  MD.emplace_back("interp.static_calls", S.StaticCalls);
-  MD.emplace_back("interp.inline_prims", S.InlinePrims);
-  MD.emplace_back("interp.predicted_hits", S.PredictedHits);
-  MD.emplace_back("interp.predicted_misses", S.PredictedMisses);
-  MD.emplace_back("interp.feedback_hits", S.FeedbackHits);
-  MD.emplace_back("interp.feedback_misses", S.FeedbackMisses);
-  MD.emplace_back("interp.closures_created", S.ClosuresCreated);
-  MD.emplace_back("interp.closure_calls", S.ClosureCalls);
-  MD.emplace_back("interp.allocations", S.Allocations);
-  MD.emplace_back("interp.method_invocations", S.MethodInvocations);
-  MD.emplace_back("interp.nodes_evaluated", S.NodesEvaluated);
-  MD.emplace_back("interp.cycles", S.Cycles);
-  MD.emplace_back("dispatcher.lookups", D.Lookups);
-  MD.emplace_back("dispatcher.pic_hits", D.PicHits);
-  MD.emplace_back("dispatcher.memo_hits", D.MemoHits);
-  MD.emplace_back("dispatcher.full_lookups", D.FullLookups);
-  MD.emplace_back("dispatcher.megamorphic_sites", D.MegamorphicSites);
-  MD.emplace_back("dispatcher.memo_collisions", D.MemoCollisions);
+                  const std::vector<ExecCore::Publication> &List) {
+  for (const auto &[To, N] : List)
+    MD.emplace_back(To->name(), N);
 }
 
 } // namespace
@@ -72,9 +54,8 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   // Live-profiling jobs record arcs into the result's own CallGraph;
   // unsampled jobs pay nothing (a null Profile is one branch per send).
   RO.Profile = Opts.CollectArcs ? &J.Arcs : nullptr;
-  // The whole point: the interpreter below is a per-thread cache over
-  // this snapshot's shared tables, not an owner of fresh ones.
-  RO.Tables = Tables.get();
+  // Every job reads the workbench's shared tables; none builds its own.
+  RO.Tables = Tables;
 
   auto Measure = [&](auto &I) {
     bool Ok;
@@ -89,7 +70,7 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
     }
     // Deltas cover the run's full publication, success or trap.
     if (Opts.CollectMetricsDelta)
-      collectDelta(J.MetricsDelta, I.stats(), I.dispatcher().stats());
+      collectDelta(J.MetricsDelta, I.publications());
     if (!Ok) {
       CtrSnapJobTraps.add();
       J.Trap = I.trap();
@@ -105,12 +86,8 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   if (Tier == ExecTier::Bytecode) {
     BytecodeInterpreter I(*CP, Mod, RO, Opts.Costs);
     Measure(I);
-    if (Opts.CollectMetricsDelta) {
-      J.MetricsDelta.emplace_back("bytecode.ic_hits", I.icHits());
-      J.MetricsDelta.emplace_back("bytecode.ic_misses", I.icMisses());
-      J.MetricsDelta.emplace_back("bytecode.ic_misdispatch",
-                                  I.icMisdispatches());
-    }
+    if (Opts.CollectMetricsDelta)
+      collectDelta(J.MetricsDelta, I.icPublications());
   } else {
     Interpreter I(*CP, RO, Opts.Costs);
     Measure(I);
@@ -162,7 +139,7 @@ Workbench::buildSnapshot(Config C, std::string &ErrorOut,
   }
   Snap->Tier = SnapTier;
   Snap->Info.Tier = SnapTier;
-  Snap->Tables = std::make_unique<DispatchTables>(*P);
+  Snap->Tables = Tables.get();
   return Snap;
 }
 

@@ -8,16 +8,17 @@
 /// The compile-once/run-many boundary of the serving story.  A
 /// CompiledSnapshot bundles everything a measured run needs — the
 /// optimized CompiledProgram, its bytecode module (when the tier allows),
-/// and the immutable DispatchTables — behind a const surface, so one
-/// snapshot can execute any number of jobs on any number of threads
-/// concurrently.  The immutability contract (DESIGN.md section 11):
+/// and the source Workbench's immutable DispatchTableSet — behind a const
+/// surface, so one snapshot can execute any number of jobs on any number
+/// of threads concurrently.  The immutability contract (DESIGN.md
+/// section 11):
 ///
 ///   - shared and read-only: Program/AST, CompiledProgram bodies and
-///     layouts, BcModule instruction streams and site tables,
-///     DispatchTables;
+///     layouts, BcModule instruction streams and site tables, the
+///     dispatch tables;
 ///   - per-thread, created per job by run(): Interpreter or
-///     BytecodeInterpreter with its FramePool, argument stack, Heap,
-///     Dispatcher memo/PIC cache, and bytecode IC side-tables;
+///     BytecodeInterpreter with its FramePool, argument stack, Heap, and
+///     bytecode IC side-tables;
 ///   - the one documented exception: CompiledProgram's atomic invoked
 ///     bits (monotonic relaxed stores, Figure 6 accounting).
 ///
@@ -93,11 +94,12 @@ public:
     /// Rendered failure message when !Ok.
     std::string Error;
     /// The exact per-counter increments this job published onto the
-    /// process-wide metrics registry (interp.*, dispatcher.*, and on the
-    /// bytecode tier bytecode.*), keyed by registry counter name.  Summing
-    /// the deltas of every job equals the registry totals for those
-    /// counters (tested), which is what makes per-job observability of a
-    /// multi-threaded server exact rather than sampled.
+    /// process-wide metrics registry (the interpreter's publication lists:
+    /// interp.*, dispatcher.*, and on the bytecode tier bytecode.*), keyed
+    /// by registry counter name.  Summing the deltas of every job equals
+    /// the registry totals for those counters (tested), which is what
+    /// makes per-job observability of a multi-threaded server exact rather
+    /// than sampled.
     std::vector<std::pair<std::string, uint64_t>> MetricsDelta;
     /// This job's weighted arcs (JobOptions::CollectArcs); empty
     /// otherwise.  Site/method ids are those of the snapshot's Program,
@@ -117,7 +119,6 @@ public:
   const BcModule *bytecode() const {
     return Tier == ExecTier::Bytecode ? &Mod : nullptr;
   }
-  const DispatchTables &tables() const { return *Tables; }
   ExecTier tier() const { return Tier; }
   Config configuration() const { return Info.Configuration; }
   const BuildInfo &buildInfo() const { return Info; }
@@ -133,7 +134,8 @@ private:
   std::unique_ptr<CompiledProgram> CP;
   /// Valid iff Tier == Bytecode.
   BcModule Mod;
-  std::unique_ptr<DispatchTables> Tables;
+  /// Lent by the source Workbench, which outlives the snapshot (Keeper).
+  const DispatchTableSet *Tables = nullptr;
   ExecTier Tier = ExecTier::Ast;
   BuildInfo Info;
 };

@@ -53,13 +53,16 @@ metrics::Counter CtrMethodInvocations("interp.method_invocations");
 metrics::Counter CtrNodesEvaluated("interp.nodes_evaluated");
 metrics::Counter CtrCycles("interp.cycles");
 metrics::Counter CtrBytesAllocated("interp.bytes_allocated");
+metrics::Counter CtrLookups("dispatcher.lookups");
+metrics::Counter CtrFullLookups("dispatcher.full_lookups");
 metrics::Counter CtrDeadlineExpired("deadline.expired");
 } // namespace
 
 ExecCore::ExecCore(const CompiledProgram &CP, RunOptions Opts,
                    CostModel Costs)
     : CP(CP), P(CP.program()), Opts(Opts), Costs(Costs),
-      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
+      OwnTables(Opts.Tables ? nullptr : std::make_unique<DispatchTableSet>(P)),
+      Tables(Opts.Tables ? Opts.Tables : OwnTables.get()),
       StackBudget(nativeStackBudget()) {
   if (Opts.Profile) {
     NumArcSites = P.numCallSites();
@@ -67,24 +70,31 @@ ExecCore::ExecCore(const CompiledProgram &CP, RunOptions Opts,
   }
 }
 
+std::vector<ExecCore::Publication> ExecCore::publications() const {
+  return {{&CtrDynamicDispatches, Stats.DynamicDispatches},
+          {&CtrVersionSelects, Stats.VersionSelects},
+          {&CtrStaticCalls, Stats.StaticCalls},
+          {&CtrInlinePrims, Stats.InlinePrims},
+          {&CtrPredictedHits, Stats.PredictedHits},
+          {&CtrPredictedMisses, Stats.PredictedMisses},
+          {&CtrFeedbackHits, Stats.FeedbackHits},
+          {&CtrFeedbackMisses, Stats.FeedbackMisses},
+          {&CtrClosuresCreated, Stats.ClosuresCreated},
+          {&CtrClosureCalls, Stats.ClosureCalls},
+          {&CtrAllocations, Stats.Allocations},
+          {&CtrMethodInvocations, Stats.MethodInvocations},
+          {&CtrNodesEvaluated, Stats.NodesEvaluated},
+          {&CtrCycles, Stats.Cycles},
+          {&CtrBytesAllocated, TheHeap.bytesAllocated()},
+          {&CtrLookups, TableLookups},
+          {&CtrFullLookups, FullLookups}};
+}
+
 ExecCore::~ExecCore() {
-  // RunStats stays a plain struct on the hot path; totals reach the
-  // registry once per run, here.
-  CtrDynamicDispatches.add(Stats.DynamicDispatches);
-  CtrVersionSelects.add(Stats.VersionSelects);
-  CtrStaticCalls.add(Stats.StaticCalls);
-  CtrInlinePrims.add(Stats.InlinePrims);
-  CtrPredictedHits.add(Stats.PredictedHits);
-  CtrPredictedMisses.add(Stats.PredictedMisses);
-  CtrFeedbackHits.add(Stats.FeedbackHits);
-  CtrFeedbackMisses.add(Stats.FeedbackMisses);
-  CtrClosuresCreated.add(Stats.ClosuresCreated);
-  CtrClosureCalls.add(Stats.ClosureCalls);
-  CtrAllocations.add(Stats.Allocations);
-  CtrMethodInvocations.add(Stats.MethodInvocations);
-  CtrNodesEvaluated.add(Stats.NodesEvaluated);
-  CtrCycles.add(Stats.Cycles);
-  CtrBytesAllocated.add(TheHeap.bytesAllocated());
+  // RunStats and the lookup counts stay plain fields on the hot path;
+  // totals reach the registry once per run, here.
+  for (const auto &[To, N] : publications())
+    To->add(N);
 }
 
 std::string ExecCore::valueToString(const Value &V) const {

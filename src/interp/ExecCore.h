@@ -29,7 +29,7 @@
 ///   - `Value runBody(const B &, Frame &, Control &)`: executes a body in
 ///     a bound frame;
 ///   - optionally `lookupTarget`/`lookupVersion` for its own site type,
-///     replacing the Dispatcher-backed defaults below (the bytecode tier
+///     replacing the table-backed defaults below (the bytecode tier
 ///     probes its inline caches first).
 ///
 //===----------------------------------------------------------------------===//
@@ -41,12 +41,13 @@
 #include "interp/RuntimeTrap.h"
 #include "opt/CompiledProgram.h"
 #include "profile/CallGraph.h"
-#include "runtime/Dispatcher.h"
+#include "runtime/DispatchTable.h"
 #include "runtime/Frame.h"
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
 #include "support/Deadline.h"
 #include "support/FailPoint.h"
+#include "support/Metrics.h"
 
 #include <array>
 #include <cassert>
@@ -56,6 +57,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace selspec {
@@ -106,11 +108,11 @@ struct RunOptions {
   /// DeadlineExceeded.  Null disables the checks beyond one predictable
   /// branch per node.
   const CancelToken *Cancel = nullptr;
-  /// Shared immutable dispatch tables (a CompiledSnapshot's).  When set,
-  /// the interpreter's Dispatcher becomes a per-thread cache over them
-  /// instead of owning its own; lookup results are identical either way.
-  /// Must outlive the interpreter.
-  const DispatchTables *Tables = nullptr;
+  /// The program's compressed dispatch tables, shared and immutable (a
+  /// Workbench lends its set to its profile runs and snapshots).  Null
+  /// makes the interpreter build its own; lookups are identical either
+  /// way.  Must outlive the interpreter.
+  const DispatchTableSet *Tables = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
@@ -195,12 +197,19 @@ public:
   const RuntimeTrap &trap() const { return Trap; }
   /// Rendered form of trap() (message + location + backtrace).
   const std::string &errorMessage() const { return Error; }
-  Dispatcher &dispatcher() { return Disp; }
   Heap &heap() { return TheHeap; }
   const CostModel &costs() const { return Costs; }
 
   /// Renders a value for `print` and diagnostics.
   std::string valueToString(const Value &V) const;
+
+  /// A per-run total and the registry counter it is published to.
+  using Publication = std::pair<metrics::Counter *, uint64_t>;
+  /// Every counter this core publishes onto the metrics registry
+  /// (`interp.*`, `dispatcher.*`) with this run's value.  The destructor
+  /// adds exactly these, and per-job metrics deltas copy them, so the two
+  /// cannot list different counters.
+  std::vector<Publication> publications() const;
 
   /// Callees counted per call site before the rest spill, send by send,
   /// into the CallGraph.  With four, at most 3.3% of the profiled sends
@@ -225,9 +234,21 @@ protected:
   /// invoked bits are the documented exception), so any number of
   /// concurrent interpreters may execute one snapshot.
   ExecCore(const CompiledProgram &CP, RunOptions Opts, CostModel Costs);
-  /// Publishes the accumulated RunStats onto the process-wide metrics
-  /// registry (`interp.*` counters), once per interpreter.
+  /// Publishes publications() onto the process-wide metrics registry,
+  /// once per interpreter.
   ~ExecCore();
+
+  /// The method generic \p G invokes on the classes in ClassScratch, read
+  /// from its compressed dispatch table; invalid when dispatch fails.  The
+  /// one dispatch path: the bytecode tier's inline-cache misses and every
+  /// AST-tier send come here.
+  MethodId dispatchScratch(GenericId G) {
+    ++TableLookups;
+    const DispatchTable &T = Tables->forGeneric(G);
+    if (!T.materialized())
+      ++FullLookups;
+    return T.lookup(ClassScratch);
+  }
 
   /// \p Args points at the callee's arguments; primitives never re-enter
   /// a tier's loop, so the pointer stays valid throughout.
@@ -417,7 +438,15 @@ protected:
   const Program &P;
   RunOptions Opts;
   CostModel Costs;
-  Dispatcher Disp;
+  /// Set only when RunOptions::Tables was null.
+  std::unique_ptr<const DispatchTableSet> OwnTables;
+  /// Never null: RunOptions::Tables or OwnTables.
+  const DispatchTableSet *Tables;
+  /// Published as `dispatcher.lookups`: every dispatchScratch call.
+  uint64_t TableLookups = 0;
+  /// Published as `dispatcher.full_lookups`: the lookups answered by
+  /// Program::dispatch because the generic's table is not materialized.
+  uint64_t FullLookups = 0;
   Heap TheHeap;
   FramePool Frames;
   /// Scratch for per-dispatch class tuples; each use finishes before any
@@ -498,10 +527,11 @@ protected:
   Value invokeVersion(const CompiledMethod &CM, const Value *Args, size_t N,
                       SourceLoc CallLoc, Control &C);
 
-  /// Default lookups, over the Dispatcher and CompiledProgram, for the
-  /// classes in ClassScratch.  lookupTarget is false when dispatch fails.
+  /// Default lookups, over the dispatch tables and CompiledProgram, for
+  /// the classes in ClassScratch.  lookupTarget is false when dispatch
+  /// fails.
   bool lookupTarget(const SendExpr &S, MethodId &Target, int &Version) {
-    Target = Disp.lookup(S.Generic, ClassScratch, S.Site);
+    Target = dispatchScratch(S.Generic);
     if (!Target.isValid())
       return false;
     Version = CP.selectVersion(Target, ClassScratch);

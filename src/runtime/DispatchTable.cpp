@@ -101,18 +101,6 @@ DispatchTable::DispatchTable(const Program &P, GenericId G, size_t CellCap)
   }
 }
 
-MethodId DispatchTable::lookup(const std::vector<ClassId> &ArgClasses) const {
-  if (Oversized)
-    return P.dispatch(G, ArgClasses);
-  size_t Index = 0;
-  size_t Stride = 1;
-  for (size_t PI = 0; PI != Positions.size(); ++PI) {
-    Index += GroupOf[PI][ArgClasses[Positions[PI]].value()] * Stride;
-    Stride *= GroupCount[PI];
-  }
-  return Table[Index];
-}
-
 size_t DispatchTable::uncompressedSize() const {
   size_t N = 1;
   for (size_t PI = 0; PI != Positions.size(); ++PI)
@@ -120,10 +108,16 @@ size_t DispatchTable::uncompressedSize() const {
   return N;
 }
 
+static_assert(DispatchTableSet::CellBudget <= DispatchTable::MaxCells,
+              "the set's budget must bind before the per-table cap");
+
 DispatchTableSet::DispatchTableSet(const Program &P) {
   Tables.reserve(P.numGenerics());
-  for (unsigned GI = 0; GI != P.numGenerics(); ++GI)
-    Tables.emplace_back(P, GenericId(GI));
+  size_t Used = 0;
+  for (unsigned GI = 0; GI != P.numGenerics(); ++GI) {
+    Tables.emplace_back(P, GenericId(GI), CellBudget - Used);
+    Used += Tables.back().tableSize();
+  }
   static metrics::Counter &TableCells = metrics::named("dispatch.table_cells");
   TableCells.set(totalCells());
 }

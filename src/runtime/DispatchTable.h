@@ -14,7 +14,10 @@
 /// *behavioral* group counts rather than of the class counts.
 ///
 /// Lookup is two array reads per dispatched argument plus one table read —
-/// constant time, no search.
+/// constant time, no search.  A DispatchTableSet holds one table per
+/// generic; built once per Program (which nothing changes after the front
+/// end), it is the structure behind every interpreter's dispatch: the
+/// bytecode tier's inline-cache misses and every AST-tier lookup read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +40,17 @@ public:
 
   /// The method invoked for the given argument classes, or invalid for
   /// "message not understood"/ambiguous.  Equivalent to P.dispatch().
-  MethodId lookup(const std::vector<ClassId> &ArgClasses) const;
+  MethodId lookup(const std::vector<ClassId> &ArgClasses) const {
+    if (Oversized)
+      return P.dispatch(G, ArgClasses);
+    size_t Index = 0;
+    size_t Stride = 1;
+    for (size_t PI = 0; PI != Positions.size(); ++PI) {
+      Index += GroupOf[PI][ArgClasses[Positions[PI]].value()] * Stride;
+      Stride *= GroupCount[PI];
+    }
+    return Table[Index];
+  }
 
   /// False when the compressed table would have exceeded the cell cap and
   /// the table was not materialized; lookup() then answers through
@@ -76,10 +89,21 @@ private:
   bool Oversized = false;
 };
 
-/// A full set of tables, one per generic, sharing the Program.
+/// A full set of tables, one per generic, sharing the Program.  Immutable
+/// once built, so one set serves any number of interpreters on any number
+/// of threads.
 class DispatchTableSet {
 public:
+  /// Builds every generic's table in generic order.  A table that would
+  /// take the set past CellBudget cells is not materialized (its generic
+  /// answers through Program::dispatch, counted in
+  /// `dispatch.table_fallbacks`), so no program pays more than the budget
+  /// in build time or memory.
   explicit DispatchTableSet(const Program &P);
+
+  /// Cells the whole set may materialize: 1M cells, 4 MiB of MethodIds.
+  /// The Table 2 programs need at most a few hundred.
+  static constexpr size_t CellBudget = size_t(1) << 20;
 
   const DispatchTable &forGeneric(GenericId G) const {
     return Tables[G.value()];

@@ -7,9 +7,9 @@
 /// \file
 /// One registry for every counter the system maintains, so observability
 /// is a single export instead of per-subsystem ad-hoc structs.  The
-/// per-run structs (`RunStats`, `Dispatcher::Stats`) remain the hot-path
-/// accumulators — plain non-atomic increments, exactly as before — and
-/// publish their totals into the registry when the owning object is
+/// per-run accumulators (`RunStats`, an interpreter's lookup and
+/// inline-cache counts) stay plain non-atomic fields on the hot path and
+/// publish their totals into the registry when the interpreter is
 /// destroyed, so measured runs pay nothing new per node or per lookup.
 /// Cold paths (profile-db I/O, deadline expiry, failpoints, micad
 /// supervision) increment registry counters directly.
@@ -22,7 +22,7 @@
 /// parent and from any future threading, free of contention today.
 ///
 /// Naming scheme: `<subsystem>.<counter>` in snake_case, e.g.
-/// `dispatcher.memo_collisions`, `profiledb.load_recoveries`.  Counters
+/// `dispatcher.full_lookups`, `profiledb.load_recoveries`.  Counters
 /// shared by several TUs (e.g. `deadline.expired`, tripped by both the
 /// pipeline's phase gate and the interpreter's poll) use `named()`,
 /// which returns the existing counter of that name or creates one.

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace selspec;
 using namespace selspec::test;
 
@@ -323,69 +325,54 @@ TEST(DispatchTable, CompressionSharesEquivalentRows) {
   EXPECT_LT(T.tableSize(), T.uncompressedSize());
 }
 
+/// Every generic of every Table 2 program, against Program::dispatch: on
+/// every class tuple when there are at most Cap of them, otherwise on a
+/// seeded sample, half of it drawn from the cones of the generic's own
+/// specializers so the sample reaches the cells real sends reach.  The
+/// tables are the Workbench's own, the ones every run reads.
 TEST(DispatchTable, WholeProgramSetAgreesOnBenchmark) {
-  std::string Err;
-  std::unique_ptr<Workbench> W =
-      Workbench::fromFiles({"instsched.mica"}, Err);
-  ASSERT_TRUE(W) << Err;
-  const Program &P = W->program();
-  DispatchTableSet Set(P);
-
-  // Spot-check the 7-case conflicts multi-method over every class pair.
-  GenericId G = P.lookupGeneric(P.Syms.find("conflicts"), 2);
-  ASSERT_TRUE(G.isValid());
-  const DispatchTable &T = Set.forGeneric(G);
-  for (unsigned I = 0; I != P.Classes.size(); ++I)
-    for (unsigned J = 0; J != P.Classes.size(); ++J) {
-      std::vector<ClassId> Args = {ClassId(I), ClassId(J)};
-      ASSERT_EQ(T.lookup(Args), P.dispatch(G, Args));
+  const std::vector<std::vector<std::string>> Programs = {
+      {"richards.mica"},
+      {"instsched.mica"},
+      {"minilang.mica", "typechecker.mica"},
+      {"minilang.mica", "compiler.mica"}};
+  constexpr size_t Cap = 2048;
+  std::mt19937 Rng(20261020u);
+  for (const std::vector<std::string> &Files : Programs) {
+    std::string Err;
+    std::unique_ptr<Workbench> W = Workbench::fromFiles(Files, Err);
+    ASSERT_TRUE(W) << Err;
+    const Program &P = W->program();
+    const DispatchTableSet &Set = W->tables();
+    const unsigned U = P.Classes.size();
+    for (unsigned GI = 0; GI != P.numGenerics(); ++GI) {
+      const GenericId G(GI);
+      const GenericInfo &Info = P.generic(G);
+      const DispatchTable &T = Set.forGeneric(G);
+      ASSERT_TRUE(T.materialized()) << Files.back() << ' ' << P.genericLabel(G);
+      size_t Count = 1;
+      for (unsigned I = 0; I != Info.Arity && Count <= Cap; ++I)
+        Count *= U;
+      const bool Exhaustive = Count <= Cap;
+      std::vector<ClassId> Args(Info.Arity);
+      for (size_t K = 0; K != (Exhaustive ? Count : Cap); ++K) {
+        size_t Rest = K;
+        for (unsigned I = 0; I != Info.Arity; ++I, Rest /= U) {
+          if (Exhaustive) {
+            Args[I] = ClassId(static_cast<uint32_t>(Rest % U));
+          } else if (K % 2 && !Info.Methods.empty()) {
+            MethodId M = Info.Methods[Rng() % Info.Methods.size()];
+            std::vector<ClassId> Cone =
+                P.Classes.cone(P.method(M).Specializers[I]).members();
+            Args[I] = Cone[Rng() % Cone.size()];
+          } else {
+            Args[I] = ClassId(static_cast<uint32_t>(Rng() % U));
+          }
+        }
+        ASSERT_EQ(T.lookup(Args), P.dispatch(G, Args))
+            << Files.back() << ' ' << P.genericLabel(G) << " tuple #" << K;
+      }
     }
-  EXPECT_LT(Set.totalCells(), Set.totalUncompressedCells());
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatcher PIC behavior
-//===----------------------------------------------------------------------===//
-
-TEST(Dispatcher, PicCachesAndGoesMegamorphic) {
-  std::string Src = "class Shape;\n";
-  for (int I = 0; I != 12; ++I)
-    Src += "class S" + std::to_string(I) + " isa Shape;\n";
-  Src += "method poke(x@Shape) { 0; }\n";
-  for (int I = 0; I != 12; ++I)
-    Src += "method poke(x@S" + std::to_string(I) + ") { " +
-           std::to_string(I + 1) + "; }\n";
-  Src += "method main(n@Int) { n; }\n";
-  std::unique_ptr<Program> P = buildProgram({Src});
-  ASSERT_TRUE(P);
-
-  Dispatcher D(*P, /*PicCapacity=*/4);
-  GenericId G = P->lookupGeneric(P->Syms.find("poke"), 1);
-  CallSiteId Site(0);
-
-  auto ClassOf = [&](int I) {
-    return P->Classes.lookup(P->Syms.find("S" + std::to_string(I)));
-  };
-
-  // Warm four classes: all cached, repeats hit the PIC.
-  for (int I = 0; I != 4; ++I)
-    ASSERT_TRUE(D.lookup(G, {ClassOf(I)}, Site).isValid());
-  EXPECT_EQ(D.picSize(Site), 4u);
-  uint64_t HitsBefore = D.stats().PicHits;
-  for (int I = 0; I != 4; ++I)
-    D.lookup(G, {ClassOf(I)}, Site);
-  EXPECT_EQ(D.stats().PicHits, HitsBefore + 4);
-
-  // A fifth class overflows the capacity: megamorphic, cache dropped.
-  D.lookup(G, {ClassOf(5)}, Site);
-  EXPECT_EQ(D.stats().MegamorphicSites, 1u);
-  EXPECT_EQ(D.picSize(Site), 0u);
-
-  // Lookups stay correct afterwards (global memo serves them).
-  for (int I = 0; I != 12; ++I) {
-    MethodId M = D.lookup(G, {ClassOf(I)}, Site);
-    ASSERT_TRUE(M.isValid());
-    EXPECT_EQ(P->methodLabel(M), "poke(S" + std::to_string(I) + ")");
+    EXPECT_LT(Set.totalCells(), Set.totalUncompressedCells());
   }
-  EXPECT_GT(D.stats().MemoHits, 0u);
 }

@@ -11,7 +11,8 @@
 /// a transitive-closure reference over randomized DAGs, the
 /// DispatchTable cell-cap regression (just-over-cap must fall back while
 /// just-under-cap materializes, both agreeing with Program::dispatch),
-/// the all-build-modes finalize trap, the Rng rejection-sampling rewrite
+/// the set-wide cell budget (a hostile 4-ary generic falls back and still
+/// runs identically on both tiers), the all-build-modes finalize trap, the Rng rejection-sampling rewrite
 /// (frozen legacy sequence + uniformity), and the structured hierarchy
 /// synthesizer (determinism, single-interval cones, cross-config/tier
 /// output equality).
@@ -20,6 +21,7 @@
 
 #include "TestUtil.h"
 
+#include "driver/Snapshot.h"
 #include "fuzz/ProgramGen.h"
 #include "hierarchy/ClassHierarchy.h"
 #include "runtime/DispatchTable.h"
@@ -358,6 +360,67 @@ TEST(DispatchTableCapTest, JustUnderCapMaterializesJustOverFallsBack) {
       EXPECT_EQ(OverCap.lookup({X, Y}), Want);
       EXPECT_EQ(Default.lookup({X, Y}), Want);
     }
+}
+
+/// The set-wide cell budget against a hostile program: 62 sibling classes
+/// and one 4-ary generic with a method per class on all four positions.
+/// Each position has 63 behavioral groups, so that one table alone would
+/// be 63^4 = 15.75M cells.
+std::string hostileTableProgram() {
+  std::string Src;
+  for (int I = 0; I != 62; ++I)
+    Src += "class C" + std::to_string(I) + ";\n";
+  for (int I = 0; I != 62; ++I) {
+    const std::string C = "C" + std::to_string(I);
+    Src += "method f(a@" + C + ", b@" + C + ", c@" + C + ", d@" + C +
+           ") { " + std::to_string(I) + "; }\n";
+  }
+  Src += R"(
+method pick(n@Int) {
+  if (n % 3 == 0) { new C0; } else { if (n % 3 == 1) { new C30; } else { new C61; } }
+}
+method main(n@Int) {
+  let i := 0; let acc := 0;
+  while (i < n) { let x := pick(i); acc := acc + f(x, x, x, x); i := i + 1; }
+  print(acc);
+}
+)";
+  return Src;
+}
+
+TEST(DispatchTableBudget, HostileGenericFallsBackAndRunsOnBothTiers) {
+  std::string Err;
+  std::unique_ptr<Workbench> W =
+      Workbench::fromSources({hostileTableProgram()}, Err);
+  ASSERT_TRUE(W) << Err;
+  const Program &P = W->program();
+  GenericId F = P.lookupGeneric(P.Syms.find("f"), 4);
+  ASSERT_TRUE(F.isValid());
+  EXPECT_FALSE(W->tables().forGeneric(F).materialized());
+  EXPECT_LE(W->tables().totalCells(), DispatchTableSet::CellBudget);
+
+  CompiledSnapshot::JobResult Runs[2];
+  const ExecTier Tiers[2] = {ExecTier::Ast, ExecTier::Bytecode};
+  for (int T = 0; T != 2; ++T) {
+    W->setTier(Tiers[T]);
+    std::shared_ptr<const CompiledSnapshot> Snap =
+        W->buildSnapshot(Config::Base, Err);
+    ASSERT_TRUE(Snap) << Err;
+    ASSERT_EQ(Snap->tier(), Tiers[T]);
+    CompiledSnapshot::JobOptions JO;
+    JO.CollectMetricsDelta = true;
+    Runs[T] = Snap->run(30, JO);
+    ASSERT_TRUE(Runs[T].Ok) << Runs[T].Error;
+    uint64_t FullLookups = 0;
+    for (const auto &[Name, N] : Runs[T].MetricsDelta)
+      if (Name == "dispatcher.full_lookups")
+        FullLookups = N;
+    EXPECT_GT(FullLookups, 0u)
+        << "sends of f must answer through Program::dispatch";
+  }
+  EXPECT_EQ(Runs[0].R.Output, "910\n");
+  EXPECT_EQ(Runs[0].R.Output, Runs[1].R.Output);
+  EXPECT_TRUE(sameRunStats(Runs[0].R.Run, Runs[1].R.Run));
 }
 
 //===----------------------------------------------------------------------===//

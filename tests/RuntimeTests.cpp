@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Dispatcher.h"
 #include "runtime/Frame.h"
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
@@ -170,116 +169,6 @@ TEST(Heap, ArrayAndInstancePayloads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatcher memo exactness and PIC boundary behavior
-//===----------------------------------------------------------------------===//
-
-TEST(Dispatcher, MemoCollisionStillDispatchesExactly) {
-  // tupleKey shifts 10 bits per argument, so at arity 8 the first
-  // argument's contribution is shifted clear out of the 64-bit key: the
-  // tuples (A, Int x7) and (B, Int x7) collide by construction.  The memo
-  // must verify the stored tuple and fall back to a full lookup, never
-  // return the other tuple's target.
-  std::unique_ptr<Program> P = buildProgram({R"(
-    class A; class B;
-    method probe(x@A, b, c, d, e, f, g, h) { 1; }
-    method probe(x@B, b, c, d, e, f, g, h) { 2; }
-    method main(n@Int) { n; }
-  )"});
-  ASSERT_TRUE(P);
-  GenericId G = P->lookupGeneric(P->Syms.find("probe"), 8);
-  ASSERT_TRUE(G.isValid());
-  ClassId CA = P->Classes.lookup(P->Syms.find("A"));
-  ClassId CB = P->Classes.lookup(P->Syms.find("B"));
-
-  std::vector<ClassId> TupleA{CA}, TupleB{CB};
-  for (int I = 0; I != 7; ++I) {
-    TupleA.push_back(builtin::Int);
-    TupleB.push_back(builtin::Int);
-  }
-  ASSERT_EQ(Dispatcher::tupleKey(G, TupleA), Dispatcher::tupleKey(G, TupleB))
-      << "tuples no longer collide; pick ones that share a key to keep "
-         "this regression test meaningful";
-
-  // No site: every lookup goes through the memo, where the collision
-  // lives.
-  Dispatcher D(*P);
-  MethodId WantA = P->dispatch(G, TupleA);
-  MethodId WantB = P->dispatch(G, TupleB);
-  ASSERT_TRUE(WantA.isValid());
-  ASSERT_TRUE(WantB.isValid());
-  ASSERT_NE(WantA, WantB);
-
-  EXPECT_EQ(D.lookup(G, TupleA, CallSiteId()), WantA);
-  EXPECT_EQ(D.lookup(G, TupleB, CallSiteId()), WantB)
-      << "memo returned the colliding tuple's target";
-  EXPECT_EQ(D.lookup(G, TupleA, CallSiteId()), WantA);
-  EXPECT_GE(D.stats().MemoCollisions, 2u)
-      << "each cross-tuple probe after the first is a verified miss";
-  EXPECT_EQ(D.stats().MemoHits, 0u);
-}
-
-TEST(Dispatcher, PicServesExactlyCapacityTuples) {
-  // Boundary regression: a site that observes exactly PicCapacity class
-  // tuples must keep all of them cached and keep serving PIC hits — only
-  // the (PicCapacity+1)-th distinct tuple demotes the site.
-  std::string Src = "class Shape;\n";
-  for (int I = 0; I != 5; ++I)
-    Src += "class S" + std::to_string(I) + " isa Shape;\n";
-  Src += "method poke(x@Shape) { 0; }\nmethod main(n@Int) { n; }\n";
-  std::unique_ptr<Program> P = buildProgram({Src});
-  ASSERT_TRUE(P);
-
-  constexpr unsigned Capacity = 4;
-  Dispatcher D(*P, Capacity);
-  GenericId G = P->lookupGeneric(P->Syms.find("poke"), 1);
-  CallSiteId Site(0);
-  auto ClassOf = [&](int I) {
-    std::string Name = "S";
-    Name += std::to_string(I);
-    return P->Classes.lookup(P->Syms.find(Name));
-  };
-
-  for (unsigned I = 0; I != Capacity; ++I)
-    ASSERT_TRUE(D.lookup(G, {ClassOf(static_cast<int>(I))}, Site).isValid());
-  EXPECT_EQ(D.picSize(Site), Capacity);
-  EXPECT_EQ(D.stats().MegamorphicSites, 0u);
-
-  uint64_t HitsBefore = D.stats().PicHits;
-  for (unsigned I = 0; I != Capacity; ++I)
-    D.lookup(G, {ClassOf(static_cast<int>(I))}, Site);
-  EXPECT_EQ(D.stats().PicHits, HitsBefore + Capacity)
-      << "a full-but-not-overflowed PIC must serve every cached tuple";
-  EXPECT_EQ(D.stats().MegamorphicSites, 0u);
-
-  // One tuple past the capacity demotes the site.
-  D.lookup(G, {ClassOf(4)}, Site);
-  EXPECT_EQ(D.stats().MegamorphicSites, 1u);
-  EXPECT_EQ(D.picSize(Site), 0u);
-}
-
-TEST(Dispatcher, NoPhantomPicsForFailedOrSitelessLookups) {
-  std::unique_ptr<Program> P = buildProgram({R"(
-    class A;
-    method only(x@A) { 1; }
-    method main(n@Int) { n; }
-  )"});
-  ASSERT_TRUE(P);
-  Dispatcher D(*P);
-  GenericId G = P->lookupGeneric(P->Syms.find("only"), 1);
-  ClassId CA = P->Classes.lookup(P->Syms.find("A"));
-
-  // A failed dispatch at a site must not materialize an empty Pic.
-  EXPECT_FALSE(D.lookup(G, {builtin::Int}, CallSiteId(7)).isValid());
-  EXPECT_EQ(D.numPicSites(), 0u);
-  // Nor does a siteless lookup, successful or not.
-  EXPECT_TRUE(D.lookup(G, {CA}, CallSiteId()).isValid());
-  EXPECT_EQ(D.numPicSites(), 0u);
-  // A successful lookup at a site does.
-  EXPECT_TRUE(D.lookup(G, {CA}, CallSiteId(7)).isValid());
-  EXPECT_EQ(D.numPicSites(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
 // Metrics registry and trace emitter exports
 //===----------------------------------------------------------------------===//
 
@@ -424,8 +313,7 @@ TEST(Metrics, RegistryRoundTripsThroughJson) {
   EXPECT_TRUE(JsonChecker(Compact).valid()) << Compact;
   EXPECT_NE(Compact.find("\"test.metrics_roundtrip\":42"), std::string::npos)
       << Compact;
-  EXPECT_NE(Compact.find("\"dispatcher.memo_collisions\":"),
-            std::string::npos)
+  EXPECT_NE(Compact.find("\"dispatcher.lookups\":"), std::string::npos)
       << "statically registered counters must appear in the export";
 }
 

@@ -12,14 +12,12 @@
 //   - per-job metrics deltas sum exactly to the process-wide registry
 //     totals;
 //   - deadlines and shutdown cancel jobs cooperatively;
-//   - SnapshotCache builds each key once and never caches failures;
-//   - Dispatcher::clearCaches() and resetStats() are independent.
+//   - SnapshotCache builds each key once and never caches failures.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Serve.h"
 #include "driver/Snapshot.h"
-#include "runtime/Dispatcher.h"
 #include "support/Metrics.h"
 
 #include "TestUtil.h"
@@ -38,25 +36,6 @@ using namespace selspec;
 using namespace selspec::test;
 
 namespace {
-
-/// Full bitwise RunStats comparison, NodeMix included: the serving
-/// guarantee is *identical* counters, not merely identical output.
-bool statsEqual(const RunStats &A, const RunStats &B) {
-  return A.DynamicDispatches == B.DynamicDispatches &&
-         A.VersionSelects == B.VersionSelects &&
-         A.StaticCalls == B.StaticCalls && A.InlinePrims == B.InlinePrims &&
-         A.PredictedHits == B.PredictedHits &&
-         A.PredictedMisses == B.PredictedMisses &&
-         A.FeedbackHits == B.FeedbackHits &&
-         A.FeedbackMisses == B.FeedbackMisses &&
-         A.ClosuresCreated == B.ClosuresCreated &&
-         A.ClosureCalls == B.ClosureCalls &&
-         A.Allocations == B.Allocations &&
-         A.MethodInvocations == B.MethodInvocations &&
-         A.NodesEvaluated == B.NodesEvaluated &&
-         A.PeakDepth == B.PeakDepth && A.Cycles == B.Cycles &&
-         A.NodeMix == B.NodeMix;
-}
 
 struct BenchCase {
   const char *Name;
@@ -138,7 +117,7 @@ void runConcurrencyStress(ExecTier T) {
       const ServedUnit &U = Units[Idx];
       if (Cmp.Cancelled || !Cmp.Result.Ok)
         Problems.push_back(U.Label + ": job failed: " + Cmp.Result.Error);
-      else if (!statsEqual(Cmp.Result.R.Run, U.Ref))
+      else if (!sameRunStats(Cmp.Result.R.Run, U.Ref))
         Problems.push_back(U.Label + ": RunStats differ from the "
                                      "single-thread reference");
       else if (Cmp.Result.R.Output != U.RefOutput)
@@ -216,11 +195,24 @@ TEST(Serve, MetricsDeltasSumToRegistryTotals) {
     Registry[KV.first] = KV.second;
 
   EXPECT_GT(Sums.at("interp.nodes_evaluated"), 0u);
+  EXPECT_GT(Sums.at("interp.bytes_allocated"), 0u);
   EXPECT_GT(Sums.at("dispatcher.lookups"), 0u);
+  EXPECT_GT(Sums.at("bytecode.ic_hits"), 0u);
   for (const auto &KV : Sums)
     EXPECT_EQ(KV.second, Registry[KV.first])
         << "per-job deltas for " << KV.first
         << " do not sum to the registry total";
+  // And the other way round: a per-run counter the jobs moved but the
+  // deltas leave out would be invisible to per-job observability.
+  for (const auto &[Name, N] : Registry) {
+    const bool PerRun = Name.rfind("interp.", 0) == 0 ||
+                        Name.rfind("dispatcher.", 0) == 0 ||
+                        Name.rfind("bytecode.", 0) == 0;
+    if (PerRun && N != 0) {
+      EXPECT_TRUE(Sums.count(Name))
+          << Name << " moved by " << N << " but is in no job's delta";
+    }
+  }
 }
 
 TEST(Serve, DeadlineCancelsJobCooperatively) {
@@ -547,52 +539,4 @@ TEST(SnapshotCacheTest, FailedBuildsAreNotCached) {
       GErr);
   ASSERT_TRUE(Snap) << GErr;
   EXPECT_EQ(Cache.size(), 1u);
-}
-
-// Satellite: clearCaches() drops the adaptive dispatch state (PICs, memo)
-// without touching the counters; resetStats() zeroes the counters without
-// touching the caches.
-TEST(DispatcherState, ClearCachesAndResetStatsAreIndependent) {
-  // The receiver's class is laundered through pick() so Base's
-  // intraprocedural analysis cannot bind area() statically — the send
-  // stays a real dynamic dispatch that exercises the PIC/memo caches.
-  std::unique_ptr<Program> P = buildProgram({R"(
-    class Shape; class Circle isa Shape; class Square isa Shape;
-    method area(s@Circle) { 3; }
-    method area(s@Square) { 4; }
-    method pick(n@Int) {
-      if (n % 2 == 0) { new Circle; } else { new Square; }
-    }
-    method main(n@Int) {
-      let i := 0; let acc := 0;
-      while (i < n) { acc := acc + area(pick(i)); i := i + 1; }
-      acc;
-    })"});
-  ASSERT_TRUE(P);
-  std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::Base);
-  ASSERT_TRUE(CP);
-
-  Interpreter I(*CP);
-  ASSERT_TRUE(I.callMain(50)) << I.errorMessage();
-  Dispatcher &D = I.dispatcher();
-
-  const uint64_t Lookups = D.stats().Lookups;
-  ASSERT_GT(Lookups, 0u);
-  ASSERT_GT(D.numPicSites(), 0u);
-
-  // Dropping the caches preserves the counters.
-  D.clearCaches();
-  EXPECT_EQ(D.numPicSites(), 0u);
-  EXPECT_EQ(D.stats().Lookups, Lookups);
-
-  // Re-run: the caches repopulate and the counters keep accumulating.
-  ASSERT_TRUE(I.callMain(50)) << I.errorMessage();
-  EXPECT_GT(D.numPicSites(), 0u);
-  EXPECT_GT(D.stats().Lookups, Lookups);
-
-  // Zeroing the counters preserves the caches.
-  const size_t Pics = D.numPicSites();
-  D.resetStats();
-  EXPECT_EQ(D.stats().Lookups, 0u);
-  EXPECT_EQ(D.numPicSites(), Pics);
 }

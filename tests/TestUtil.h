@@ -70,6 +70,25 @@ inline RunStats runMain(CompiledProgram &CP, int64_t Input,
   return I.stats();
 }
 
+/// Full RunStats comparison, NodeMix included: the serving and tier
+/// guarantees are identical counters, not merely identical output.
+inline bool sameRunStats(const RunStats &A, const RunStats &B) {
+  return A.DynamicDispatches == B.DynamicDispatches &&
+         A.VersionSelects == B.VersionSelects &&
+         A.StaticCalls == B.StaticCalls && A.InlinePrims == B.InlinePrims &&
+         A.PredictedHits == B.PredictedHits &&
+         A.PredictedMisses == B.PredictedMisses &&
+         A.FeedbackHits == B.FeedbackHits &&
+         A.FeedbackMisses == B.FeedbackMisses &&
+         A.ClosuresCreated == B.ClosuresCreated &&
+         A.ClosureCalls == B.ClosureCalls &&
+         A.Allocations == B.Allocations &&
+         A.MethodInvocations == B.MethodInvocations &&
+         A.NodesEvaluated == B.NodesEvaluated &&
+         A.PeakDepth == B.PeakDepth && A.Cycles == B.Cycles &&
+         A.NodeMix == B.NodeMix;
+}
+
 /// End-to-end convenience: parse, compile under \p C, run main(Input),
 /// return printed output.
 inline std::string runSource(const std::string &Source, Config C,

@@ -438,8 +438,9 @@ TEST(Trap, ExitCodesRoundTripThroughKind) {
     bool IsTrapCode =
         (Code >= 10 && Code <= 18) || (Code >= 20 && Code <= 24) || Code == 70;
     EXPECT_EQ(K != TrapKind::None, IsTrapCode) << "exit code " << Code;
-    if (K != TrapKind::None)
+    if (K != TrapKind::None) {
       EXPECT_EQ(trapExitCode(K), Code) << "exit code " << Code;
+    }
   }
 }
 

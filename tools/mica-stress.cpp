@@ -298,6 +298,7 @@ void runDifferentialIteration(uint64_t IterSeed, const StressOptions &SO,
     RunOptions Opts;
     Opts.Output = &Out;
     Opts.Limits = Limits;
+    Opts.Tables = &W->tables();
     Interpreter I(*CP, Opts);
     Ast = runOneTier(I, Input, Out);
   }
@@ -306,6 +307,7 @@ void runDifferentialIteration(uint64_t IterSeed, const StressOptions &SO,
     RunOptions Opts;
     Opts.Output = &Out;
     Opts.Limits = Limits;
+    Opts.Tables = &W->tables();
     BytecodeInterpreter I(*CP, Mod, Opts);
     Bc = runOneTier(I, Input, Out);
   }

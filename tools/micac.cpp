@@ -385,6 +385,7 @@ int cmdRun(const CliOptions &O) {
     RO.Output = &Out;
     RO.Limits = O.Limits;
     RO.Cancel = ActiveCancel;
+    RO.Tables = &W->tables();
     Interpreter I(*CP, RO);
     if (!I.callMain(O.Input)) {
       std::cerr << "micac: " << I.errorMessage() << '\n';
